@@ -29,7 +29,7 @@ use gpu_sim::{
 };
 use plutus_telemetry::{Counter, Event, Telemetry, TraceId, Tracer};
 use secure_mem::{
-    CounterAccess, CounterSystem, DataCipher, MacSystem, SecureMemError, TenantCrypto,
+    plane, CounterAccess, CounterSystem, DataCipher, MacSystem, SecureMemError, TenantCrypto,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -188,10 +188,7 @@ impl PlutusEngine {
     /// under tenancy — the owning tenant's current generation (old
     /// generation past a live rotation-walk frontier).
     fn cipher_for(&self, sector: SectorAddr) -> &DataCipher {
-        match &self.tenancy {
-            Some(tc) => tc.cipher_for(sector),
-            None => &self.cipher,
-        }
+        plane::cipher_for(&self.cipher, self.tenancy.as_ref(), sector)
     }
 
     fn read_plaintext(&self, sector: SectorAddr, ctr: u64, mem: &BackingMemory) -> [u8; 32] {
@@ -399,47 +396,17 @@ impl PlutusEngine {
             data.push(ct);
             old_at.push((sector, *old));
         }
-        self.decrypt_many_effective(&mut data, &old_at);
+        let tenancy = self.tenancy.as_ref();
+        plane::decrypt_many_effective(&self.cipher, tenancy, &mut data, &old_at);
         let plaintexts = data.clone();
         let new_at: Vec<(SectorAddr, u64)> = old_at.iter().map(|&(s, _)| (s, new_value)).collect();
-        self.encrypt_many_effective(&mut data, &new_at);
+        plane::encrypt_many_effective(&self.cipher, tenancy, &mut data, &new_at);
         for (ct, &(sector, _)) in data.iter().zip(new_at.iter()) {
             mem.write(sector, *ct);
             reads.push(DramReq::new(sector.raw(), 32, TrafficClass::Data));
             writes.push(DramReq::new(sector.raw(), 32, TrafficClass::Data));
         }
         self.macs.update_silently_many(&plaintexts, &new_at);
-    }
-
-    /// Batched decrypt under each sector's *effective* cipher: consecutive
-    /// sectors sharing a cipher (the overwhelmingly common case — tenant
-    /// boundaries are slab-aligned) form one batch each.
-    fn decrypt_many_effective(&self, data: &mut [[u8; 32]], at: &[(SectorAddr, u64)]) {
-        let mut start = 0;
-        while start < at.len() {
-            let cipher = self.cipher_for(at[start].0);
-            let mut end = start + 1;
-            while end < at.len() && std::ptr::eq(cipher, self.cipher_for(at[end].0)) {
-                end += 1;
-            }
-            cipher.decrypt_many(&mut data[start..end], &at[start..end]);
-            start = end;
-        }
-    }
-
-    /// Batched encrypt under each sector's effective cipher (see
-    /// [`Self::decrypt_many_effective`]).
-    fn encrypt_many_effective(&self, data: &mut [[u8; 32]], at: &[(SectorAddr, u64)]) {
-        let mut start = 0;
-        while start < at.len() {
-            let cipher = self.cipher_for(at[start].0);
-            let mut end = start + 1;
-            while end < at.len() && std::ptr::eq(cipher, self.cipher_for(at[end].0)) {
-                end += 1;
-            }
-            cipher.encrypt_many(&mut data[start..end], &at[start..end]);
-            start = end;
-        }
     }
 
     /// True while the value-verification fast path is in use (configured
@@ -737,14 +704,19 @@ impl SecurityEngine for PlutusEngine {
     }
 
     fn install(&mut self, addr: SectorAddr, plaintext: &[u8; 32], mem: &mut BackingMemory) {
+        self.install_many(&[(addr, *plaintext)], mem);
+    }
+
+    fn install_many(&mut self, sectors: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
         // Counter 0 in both the compact and original layers.
-        let mut ct = *plaintext;
-        self.cipher_for(addr).encrypt(&mut ct, addr, 0);
-        mem.write(addr, ct);
-        if let Some(tc) = &mut self.tenancy {
-            tc.note_owned(addr);
-        }
-        self.macs.update_silently(addr, plaintext, 0);
+        plane::install_many(
+            &self.cipher,
+            &mut self.tenancy,
+            &mut self.macs,
+            sectors,
+            |_| 0,
+            mem,
+        );
     }
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {

@@ -12,17 +12,65 @@
 
 use crate::address::{SectorAddr, SECTOR_SIZE};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by a simulated address or sector index, hashed with
+/// [`AddrHasher`]. Every per-sector functional table (memory contents,
+/// MAC tags) uses it.
+pub type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
+
+/// A fixed, cheap hasher for `u64` addresses: one folded 64×64→128-bit
+/// multiply, whose high and low halves are XORed so every key bit reaches
+/// both the bucket-index (low) and control (high) bits of the hash.
+///
+/// Keys are addresses the simulator itself generates, so the flood
+/// resistance of the default SipHash buys nothing here. No output depends
+/// on the hasher: ordered walks over these maps sort first.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct AddrHasher {
+    hash: u64,
+}
+
+impl AddrHasher {
+    /// Odd multiplier (the 64-bit golden ratio).
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let full = u128::from(self.hash ^ n) * u128::from(Self::K);
+        self.hash = (full as u64) ^ ((full >> 64) as u64);
+    }
+}
 
 /// Sparse functional memory, sector granularity.
 #[derive(Debug, Default, Clone)]
 pub struct BackingMemory {
-    sectors: HashMap<u64, [u8; SECTOR_SIZE as usize]>,
+    sectors: AddrMap<[u8; SECTOR_SIZE as usize]>,
 }
 
 impl BackingMemory {
     /// Creates an empty memory.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty memory with room for `sectors` sectors, so
+    /// installing an image of that size never rehashes.
+    pub fn with_capacity(sectors: usize) -> Self {
+        Self {
+            sectors: AddrMap::with_capacity_and_hasher(sectors, Default::default()),
+        }
     }
 
     /// Reads a sector, or `None` if it was never written.

@@ -335,6 +335,18 @@ pub trait SecurityEngine {
     /// metadata the scheme needs. Must not generate timing.
     fn install(&mut self, addr: SectorAddr, plaintext: &[u8; 32], mem: &mut BackingMemory);
 
+    /// Installs many sectors of the initial image, in slice order (a
+    /// repeated address keeps its last image). Engines override this to
+    /// batch their cipher and MAC work; the default installs one sector
+    /// at a time, so a wrapper that forwards only
+    /// [`SecurityEngine::install`] stays correct. Must not generate
+    /// timing.
+    fn install_many(&mut self, sectors: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
+        for (addr, plaintext) in sectors {
+            self.install(*addr, plaintext, mem);
+        }
+    }
+
     /// Serves an L2 read miss of `addr`: decrypt + verify, returning the
     /// timing plan and plaintext.
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan;

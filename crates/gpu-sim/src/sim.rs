@@ -128,6 +128,39 @@ struct MshrEntry {
     plaintext: [u8; 32],
 }
 
+/// Sectors of the initial image handed to one engine per
+/// [`SecurityEngine::install_many`] call: enough to keep the 8-lane
+/// cipher and CMAC kernels full and amortise each call's set-up, while
+/// the buckets of all partitions together stay a few hundred KiB.
+pub const INSTALL_BATCH: usize = 256;
+
+/// Installs `image` through `engines` (one per partition, indexed by
+/// [`partition_of`]): each partition's sectors are bucketed in image
+/// order and handed over [`INSTALL_BATCH`] at a time, then the
+/// remainders. Partitions own disjoint addresses, so only the order
+/// within each partition matters, and it is the image order — a
+/// repeated sector keeps its last image, as a serial install would.
+pub fn install_image(
+    engines: &mut [&mut dyn SecurityEngine],
+    image: &[(SectorAddr, [u8; 32])],
+    mem: &mut BackingMemory,
+) {
+    let mut buckets = vec![Vec::with_capacity(INSTALL_BATCH); engines.len()];
+    for &(addr, data) in image {
+        let p = partition_of(addr.block(), engines.len());
+        buckets[p].push((addr, data));
+        if buckets[p].len() == INSTALL_BATCH {
+            engines[p].install_many(&buckets[p], mem);
+            buckets[p].clear();
+        }
+    }
+    for (engine, bucket) in engines.iter_mut().zip(&buckets) {
+        if !bucket.is_empty() {
+            engine.install_many(bucket, mem);
+        }
+    }
+}
+
 struct Partition {
     l2: Vec<SectoredCache>,
     mshr: HashMap<SectorAddr, MshrEntry>,
@@ -375,7 +408,7 @@ impl Simulator {
     ) -> Self {
         cfg.validate()
             .unwrap_or_else(|e| panic!("invalid GpuConfig: {e}"));
-        let mut backing = BackingMemory::new();
+        let mut backing = BackingMemory::with_capacity(trace.initial_image.len());
         let mut partitions: Vec<Partition> = (0..cfg.partitions)
             .map(|p| {
                 let mut engine = factory.build(p);
@@ -405,10 +438,11 @@ impl Simulator {
             .map(|p| p.engine.name())
             .unwrap_or("none");
 
-        for (addr, data) in &trace.initial_image {
-            let p = partition_of(addr.block(), cfg.partitions);
-            partitions[p].engine.install(*addr, data, &mut backing);
-        }
+        let mut engines: Vec<&mut dyn SecurityEngine> = partitions
+            .iter_mut()
+            .map(|p| p.engine.as_mut() as &mut dyn SecurityEngine)
+            .collect();
+        install_image(&mut engines, &trace.initial_image, &mut backing);
 
         let simtel = SimTelemetry::new(&tel);
         let ledger = CycleLedger::new(cfg.partitions);

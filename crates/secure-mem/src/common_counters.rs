@@ -84,9 +84,13 @@ impl SecurityEngine for CommonCountersEngine {
     }
 
     fn install(&mut self, addr: SectorAddr, plaintext: &[u8; 32], mem: &mut BackingMemory) {
+        self.install_many(&[(addr, *plaintext)], mem);
+    }
+
+    fn install_many(&mut self, sectors: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
         // Install is the pre-kernel image, not a kernel write: the region
         // stays clean (counters stay zero).
-        self.inner.install(addr, plaintext, mem);
+        self.inner.install_many(sectors, mem);
     }
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {

@@ -16,6 +16,8 @@
 //!   Fig. 16 granularity design points and the Fig. 20 no-tree mode).
 //! - [`common_counters::CommonCountersEngine`] — the Common Counters
 //!   comparison point (clean-region counter elision).
+//! - [`plane`] — effective-cipher batching and the initial-image install
+//!   body shared by every secure engine.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@ pub mod error;
 pub mod layout;
 pub mod mac_store;
 pub mod mac_system;
+pub mod plane;
 pub mod pssm;
 pub mod tenant;
 

@@ -12,6 +12,7 @@ use crate::config::SecureMemConfig;
 use crate::counter_system::CounterSystem;
 use crate::error::SecureMemError;
 use crate::mac_system::MacSystem;
+use crate::plane;
 use crate::tenant::TenantCrypto;
 use gpu_sim::{
     BackingMemory, DramReq, EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport,
@@ -150,10 +151,7 @@ impl PssmEngine {
     /// under tenancy — the owning tenant's current generation (old
     /// generation past a live rotation-walk frontier).
     fn cipher_for(&self, sector: SectorAddr) -> &DataCipher {
-        match &self.tenancy {
-            Some(tc) => tc.cipher_for(sector),
-            None => &self.cipher,
-        }
+        plane::cipher_for(&self.cipher, self.tenancy.as_ref(), sector)
     }
 
     /// Decrypts (functionally) what memory holds for `sector` under
@@ -274,47 +272,17 @@ impl PssmEngine {
             data.push(ct);
             old_at.push((sector, *old));
         }
-        self.decrypt_many_effective(&mut data, &old_at);
+        let tenancy = self.tenancy.as_ref();
+        plane::decrypt_many_effective(&self.cipher, tenancy, &mut data, &old_at);
         let plaintexts = data.clone();
         let new_at: Vec<(SectorAddr, u64)> = old_at.iter().map(|&(s, _)| (s, new_value)).collect();
-        self.encrypt_many_effective(&mut data, &new_at);
+        plane::encrypt_many_effective(&self.cipher, tenancy, &mut data, &new_at);
         for (ct, &(sector, _)) in data.iter().zip(new_at.iter()) {
             mem.write(sector, *ct);
             reads.push(DramReq::new(sector.raw(), 32, TrafficClass::Data));
             writes.push(DramReq::new(sector.raw(), 32, TrafficClass::Data));
         }
         self.macs.update_silently_many(&plaintexts, &new_at);
-    }
-
-    /// Batched decrypt under each sector's *effective* cipher: consecutive
-    /// sectors sharing a cipher (the overwhelmingly common case — tenant
-    /// boundaries are slab-aligned) form one batch each.
-    fn decrypt_many_effective(&self, data: &mut [[u8; 32]], at: &[(SectorAddr, u64)]) {
-        let mut start = 0;
-        while start < at.len() {
-            let cipher = self.cipher_for(at[start].0);
-            let mut end = start + 1;
-            while end < at.len() && std::ptr::eq(cipher, self.cipher_for(at[end].0)) {
-                end += 1;
-            }
-            cipher.decrypt_many(&mut data[start..end], &at[start..end]);
-            start = end;
-        }
-    }
-
-    /// Batched encrypt under each sector's effective cipher (see
-    /// [`Self::decrypt_many_effective`]).
-    fn encrypt_many_effective(&self, data: &mut [[u8; 32]], at: &[(SectorAddr, u64)]) {
-        let mut start = 0;
-        while start < at.len() {
-            let cipher = self.cipher_for(at[start].0);
-            let mut end = start + 1;
-            while end < at.len() && std::ptr::eq(cipher, self.cipher_for(at[end].0)) {
-                end += 1;
-            }
-            cipher.encrypt_many(&mut data[start..end], &at[start..end]);
-            start = end;
-        }
     }
 
     /// Crash-revert core, shared with wrapper engines: adopt the
@@ -418,14 +386,19 @@ impl SecurityEngine for PssmEngine {
     }
 
     fn install(&mut self, addr: SectorAddr, plaintext: &[u8; 32], mem: &mut BackingMemory) {
-        let ctr = self.counters.peek_value(addr);
-        let mut ct = *plaintext;
-        self.cipher_for(addr).encrypt(&mut ct, addr, ctr);
-        mem.write(addr, ct);
-        if let Some(tc) = &mut self.tenancy {
-            tc.note_owned(addr);
-        }
-        self.macs.update_silently(addr, plaintext, ctr);
+        self.install_many(&[(addr, *plaintext)], mem);
+    }
+
+    fn install_many(&mut self, sectors: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
+        let counters = &self.counters;
+        plane::install_many(
+            &self.cipher,
+            &mut self.tenancy,
+            &mut self.macs,
+            sectors,
+            |a| counters.peek_value(a),
+            mem,
+        );
     }
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {

@@ -1,14 +1,20 @@
 //! Functional equivalence: every security engine must behave as a plain
 //! memory — whatever is written is read back, byte for byte, regardless of
 //! eviction order, counter overflows, compact-counter saturation, or
-//! adaptive block disables. The reference model is a `HashMap`.
+//! adaptive block disables. The reference model is a `HashMap`. Batched
+//! install must also leave every engine exactly as per-sector install
+//! does.
 
-use gpu_sim::{BackingMemory, SectorAddr, SecurityEngine};
+use gpu_sim::sim::{install_image, INSTALL_BATCH};
+use gpu_sim::{
+    partition_of, BackingMemory, EngineFactory, NoSecurityEngine, SectorAddr, SecurityEngine,
+    TenantMap,
+};
 use plutus_core::{CompactKind, PlutusConfig, PlutusEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secure_mem::{CommonCountersEngine, PssmEngine, SecureMemConfig};
-use std::collections::HashMap;
+use secure_mem::{CommonCountersEngine, PssmEngine, SecureMemConfig, TenancyConfig};
+use std::collections::{BTreeMap, HashMap};
 
 fn engines() -> Vec<(String, Box<dyn SecurityEngine>)> {
     let mem = SecureMemConfig::test_small();
@@ -163,5 +169,116 @@ fn split_counter_group_overflow_preserves_group_contents() {
         let f = engine.on_fill(victim, &mut mem);
         assert_eq!(f.plaintext, [129u8; 32], "{name}: victim lost last write");
         assert!(f.violation.is_none());
+    }
+}
+
+/// Every engine kind, plus multi-tenant PSSM and Plutus, built for a
+/// `partitions`-way simulator.
+fn install_factories(partitions: usize) -> Vec<(&'static str, Box<dyn EngineFactory>)> {
+    let mem = SecureMemConfig {
+        partitions,
+        ..SecureMemConfig::test_small()
+    };
+    let mut plutus = PlutusConfig::test_small();
+    plutus.mem.partitions = partitions;
+    let mut map = TenantMap::new();
+    map.add_range(0, 0x8000, 1);
+    map.add_range(0x8000, 0x2_0000, 2);
+    let tenancy = Some(TenancyConfig::new(map, 5));
+    let mut plutus_mt = plutus.clone();
+    plutus_mt.mem.tenancy = tenancy.clone();
+    vec![
+        ("no-security", Box::new(NoSecurityEngine::factory())),
+        ("pssm", Box::new(PssmEngine::factory(mem.clone()))),
+        (
+            "common-counters",
+            Box::new(CommonCountersEngine::factory(mem.clone())),
+        ),
+        ("plutus", Box::new(PlutusEngine::factory(plutus))),
+        (
+            "pssm-multi-tenant",
+            Box::new(PssmEngine::factory(SecureMemConfig { tenancy, ..mem })),
+        ),
+        (
+            "plutus-multi-tenant",
+            Box::new(PlutusEngine::factory(plutus_mt)),
+        ),
+    ]
+}
+
+#[test]
+fn batched_install_matches_serial_install() {
+    const PARTITIONS: usize = 4;
+    // Non-contiguous addresses (gaps every fifth sector) spanning both
+    // tenants, with one sector installed twice inside the same batch.
+    let mut image: Vec<(SectorAddr, [u8; 32])> = (0..1_100u64)
+        .map(|i| {
+            let mut data = [0u8; 32];
+            for (j, b) in data.iter_mut().enumerate() {
+                *b = (i as u8).wrapping_mul(31) ^ j as u8;
+            }
+            (SectorAddr::new((i * 3 + i / 5) * 32), data)
+        })
+        .collect();
+    image.insert(12, (image[10].0, [0xa5; 32]));
+    assert_ne!(image.len() % INSTALL_BATCH, 0);
+    let mut touched = [false; PARTITIONS];
+    for (addr, _) in &image {
+        touched[partition_of(addr.block(), PARTITIONS)] = true;
+    }
+    assert!(
+        touched.iter().all(|&t| t),
+        "image must touch every partition"
+    );
+    // Last write wins.
+    let expected: BTreeMap<u64, [u8; 32]> = image.iter().map(|&(a, d)| (a.raw(), d)).collect();
+    assert_eq!(expected.len() + 1, image.len());
+
+    for (name, factory) in install_factories(PARTITIONS) {
+        let mut batched: Vec<Box<dyn SecurityEngine>> =
+            (0..PARTITIONS).map(|p| factory.build(p)).collect();
+        let mut serial: Vec<Box<dyn SecurityEngine>> =
+            (0..PARTITIONS).map(|p| factory.build(p)).collect();
+        let mut mem_b = BackingMemory::new();
+        let mut mem_s = BackingMemory::new();
+        let mut refs: Vec<&mut dyn SecurityEngine> = batched
+            .iter_mut()
+            .map(|e| e.as_mut() as &mut dyn SecurityEngine)
+            .collect();
+        install_image(&mut refs, &image, &mut mem_b);
+        for (addr, data) in &image {
+            serial[partition_of(addr.block(), PARTITIONS)].install(*addr, data, &mut mem_s);
+        }
+
+        let addrs = mem_s.resident_addrs();
+        assert_eq!(
+            mem_b.resident_addrs(),
+            addrs,
+            "{name}: resident sets differ"
+        );
+        assert_eq!(addrs.len(), expected.len(), "{name}");
+        for &addr in &addrs {
+            assert_eq!(
+                mem_b.read(addr),
+                mem_s.read(addr),
+                "{name}: bytes at {addr}"
+            );
+            let p = partition_of(addr.block(), PARTITIONS);
+            let peek = batched[p].peek_plaintext(addr, &mem_b);
+            assert_eq!(peek, serial[p].peek_plaintext(addr, &mem_s), "{name}");
+            assert_eq!(peek, Some(expected[&addr.raw()]), "{name}: peek at {addr}");
+        }
+        for &addr in &addrs {
+            let p = partition_of(addr.block(), PARTITIONS);
+            let fb = batched[p].on_fill(addr, &mut mem_b);
+            let fs = serial[p].on_fill(addr, &mut mem_s);
+            assert!(fb.violation.is_none(), "{name}: violation at {addr}");
+            assert_eq!(
+                fb.plaintext,
+                expected[&addr.raw()],
+                "{name}: fill at {addr}"
+            );
+            assert_eq!(format!("{fb:?}"), format!("{fs:?}"), "{name}: plans differ");
+        }
     }
 }
