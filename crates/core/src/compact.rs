@@ -18,10 +18,11 @@
 //! avoiding the double-lookup penalty of write-heavy data.
 
 use gpu_sim::cache::SectoredCache;
-use gpu_sim::{DramReq, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
+use gpu_sim::{
+    AddrMap, AddrSet, DramReq, SectorAddr, TrafficClass, Violation, SECTORS_PER_BLOCK, SECTOR_SIZE,
+};
 use plutus_crypto::Cmac;
 use plutus_telemetry::{Counter, Event, Telemetry};
-use std::collections::{HashMap, HashSet};
 
 /// Which compact-counter design is active (the paper's three options).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,12 +118,15 @@ const COMPACT_BASE: u64 = 1 << 45;
 #[derive(Debug, Clone)]
 pub struct CompactCounters {
     cfg: CompactConfig,
-    values: HashMap<u64, u8>,
-    saturated_in_block: HashMap<u64, u8>,
-    disabled_blocks: HashSet<u64>,
+    /// Compact values per 128 B data block, the unit `partition_of`
+    /// interleaves memory by, so one partition's table never holds
+    /// another's sectors.
+    values: AddrMap<[u8; SECTORS_PER_BLOCK]>,
+    saturated_in_block: AddrMap<u8>,
+    disabled_blocks: AddrSet,
     cache: SectoredCache,
     tree_cache: SectoredCache,
-    leaf_hashes: HashMap<u64, u64>,
+    leaf_hashes: AddrMap<u64>,
     cmac: Cmac,
     /// `(base, count)` per tree level, level 1 first; 4-ary 32 B nodes.
     levels: Vec<(u64, u64)>,
@@ -138,6 +142,9 @@ pub struct CompactCounters {
     tel_saturations: Counter,
     tel_disables: Counter,
 }
+
+/// Sectors of the densest compact block ([`CompactKind::TwoBit`]).
+const MAX_SECTORS_PER_COMPACT_BLOCK: usize = 128;
 
 const TREE_ARITY: u64 = 4;
 const NODE_BYTES: u64 = 32;
@@ -184,12 +191,12 @@ impl CompactCounters {
         }
 
         Self {
-            values: HashMap::new(),
-            saturated_in_block: HashMap::new(),
-            disabled_blocks: HashSet::new(),
+            values: AddrMap::default(),
+            saturated_in_block: AddrMap::default(),
+            disabled_blocks: AddrSet::default(),
             cache: SectoredCache::new(cfg.cache_bytes, cfg.cache_ways, 32, false),
             tree_cache: SectoredCache::new(cfg.cache_bytes, cfg.cache_ways, 32, false),
-            leaf_hashes: HashMap::new(),
+            leaf_hashes: AddrMap::default(),
             cmac: Cmac::new(tree_key),
             levels,
             partitions: partitions.max(1) as u64,
@@ -226,26 +233,43 @@ impl CompactCounters {
     }
 
     fn value_of(&self, sector: SectorAddr) -> u8 {
-        *self.values.get(&sector.index()).unwrap_or(&0)
+        self.values
+            .get(&sector.block().index())
+            .map_or(0, |v| v[sector.sector_in_block()])
+    }
+
+    fn set_value(&mut self, sector: SectorAddr, value: u8) {
+        let slot = self.values.entry(sector.block().index()).or_default();
+        slot[sector.sector_in_block()] = value;
     }
 
     fn leaf_hash(&self, block: u64) -> u64 {
-        let per = self.cfg.kind.sectors_per_block();
-        let first = block * per;
-        let mut buf = Vec::with_capacity(8 + per as usize);
-        buf.extend_from_slice(&block.to_le_bytes());
-        for i in 0..per {
-            buf.push(*self.values.get(&(first + i)).unwrap_or(&0));
-        }
-        u64::from_le_bytes(self.cmac.mac(&buf)[..8].try_into().unwrap())
+        self.leaf_mac(block, false)
     }
 
     fn zero_leaf_hash(&self, block: u64) -> u64 {
-        let per = self.cfg.kind.sectors_per_block();
-        let mut buf = Vec::with_capacity(8 + per as usize);
-        buf.extend_from_slice(&block.to_le_bytes());
-        buf.resize(8 + per as usize, 0);
-        u64::from_le_bytes(self.cmac.mac(&buf)[..8].try_into().unwrap())
+        self.leaf_mac(block, true)
+    }
+
+    /// MAC of compact block `block`'s leaf: the block index (LE) followed
+    /// by one byte per covered sector, from the live values or, with
+    /// `zero`, as if none was ever written. Built on a stack buffer with
+    /// one lookup per covered data block.
+    fn leaf_mac(&self, block: u64, zero: bool) -> u64 {
+        let per = self.cfg.kind.sectors_per_block() as usize;
+        let mut buf = [0u8; 8 + MAX_SECTORS_PER_COMPACT_BLOCK];
+        buf[..8].copy_from_slice(&block.to_le_bytes());
+        if !zero {
+            let first = block * (per / SECTORS_PER_BLOCK) as u64;
+            let chunks = buf[8..8 + per].chunks_exact_mut(SECTORS_PER_BLOCK);
+            for (data_block, chunk) in (first..).zip(chunks) {
+                if let Some(v) = self.values.get(&data_block) {
+                    chunk.copy_from_slice(v);
+                }
+            }
+        }
+        let tag = self.cmac.mac(&buf[..8 + per]);
+        u64::from_le_bytes(tag[..8].try_into().unwrap())
     }
 
     fn is_root_level(&self, level: u32) -> bool {
@@ -382,7 +406,7 @@ impl CompactCounters {
         // Mark dirty in the compact cache (lazy writeback).
         self.cache.access(self.block_addr(block), true, None);
         let new = v + 1;
-        self.values.insert(sector.index(), new);
+        self.set_value(sector, new);
         if new < sat {
             out.counter = Some(u64::from(new));
         } else {
@@ -410,7 +434,7 @@ impl CompactCounters {
                 let copies = (0..per)
                     .filter_map(|i| {
                         let idx = first + i;
-                        let v = *self.values.get(&idx).unwrap_or(&0);
+                        let v = self.value_of(SectorAddr::new(idx * SECTOR_SIZE));
                         (v < sat && idx != sector.index())
                             .then(|| (SectorAddr::new(idx * SECTOR_SIZE), v))
                     })
@@ -484,7 +508,7 @@ impl CompactCounters {
         (0..per)
             .filter_map(|i| {
                 let idx = first + i;
-                let v = *self.values.get(&idx).unwrap_or(&0);
+                let v = self.value_of(SectorAddr::new(idx * SECTOR_SIZE));
                 (v > 0 && v < sat).then(|| (SectorAddr::new(idx * SECTOR_SIZE), v))
             })
             .collect()
@@ -497,7 +521,7 @@ impl CompactCounters {
         let block = self.block_of(sector);
         let sat = self.cfg.kind.saturation();
         let old = self.value_of(sector);
-        self.values.insert(sector.index(), value);
+        self.set_value(sector, value);
         if old < sat && value >= sat {
             *self.saturated_in_block.entry(block).or_insert(0) += 1;
         }
@@ -512,7 +536,7 @@ impl CompactCounters {
         if self.value_of(sector) == value {
             return false;
         }
-        self.values.insert(sector.index(), value);
+        self.set_value(sector, value);
         true
     }
 
@@ -738,4 +762,149 @@ mod tests {
         assert!(classes.contains(&TrafficClass::CompactCounter));
         assert!(classes.contains(&TrafficClass::CompactBmt));
     }
+
+    /// Compact leaf hashes after a fixed seeded sequence of increments,
+    /// reads, restores, tampers and freezes, for every kind. The constants
+    /// were captured from the per-sector compact store, so any change to
+    /// compact storage or leaf serialization that moves a hash fails here.
+    #[test]
+    fn compact_leaf_hashes_are_pinned() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut got = Vec::new();
+        for kind in [
+            CompactKind::TwoBit,
+            CompactKind::ThreeBit,
+            CompactKind::Adaptive3,
+        ] {
+            let mut c = sys(kind);
+            let mut rng = StdRng::seed_from_u64(0xc0de);
+            for _ in 0..4000 {
+                let s = sector(rng.gen_range(0u64..640));
+                match rng.gen_range(0u32..40) {
+                    0 => c.restore_value(s, rng.gen_range(0u8..=kind.saturation())),
+                    1 => {
+                        c.tamper(s, rng.gen_range(0u8..=kind.saturation()));
+                    }
+                    2 if rng.gen_range(0u32..8) == 0 => {
+                        c.freeze_block(s);
+                    }
+                    3..=9 => {
+                        c.read(s);
+                    }
+                    _ => {
+                        c.increment(s);
+                    }
+                }
+            }
+            let blocks = 1280 / kind.sectors_per_block();
+            got.extend((0..blocks).map(|b| c.leaf_hash(b)));
+            got.extend((0..blocks).map(|b| c.leaf_hashes.get(&b).copied().unwrap_or(0)));
+            assert_eq!(c.leaf_hash(blocks), c.zero_leaf_hash(blocks));
+        }
+        assert_eq!(got, PINNED_COMPACT_LEAVES);
+    }
+
+    const PINNED_COMPACT_LEAVES: [u64; 100] = [
+        0xdd1cb284f3df5605,
+        0xcc7093047f498420,
+        0xf1cc38dfe49448cd,
+        0x40221c16d9907187,
+        0xb3f4de9d1a2fd2c6,
+        0xe481816088d8094e,
+        0xabacb9e1212398f5,
+        0x427a0b0a751f6964,
+        0x6d476f9a72fb9910,
+        0xa58581d8ac29275a,
+        0xdd1cb284f3df5605,
+        0xcc7093047f498420,
+        0xf1cc38dfe49448cd,
+        0xa87654476300a8c3,
+        0xb3f4de9d1a2fd2c6,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x03d3845034ecdb68,
+        0x9bd80780f0b8ae47,
+        0xf4f82ef1e40959df,
+        0xfcd90f877e311699,
+        0x1f615495bc80fba3,
+        0xa59a09cb5f738e7c,
+        0xf1cdfa5a05f1ccbe,
+        0xd30bcdaed4c827fe,
+        0xcbaccb9699d62388,
+        0x7ffc53d789b797a5,
+        0x95fbacc9155e54df,
+        0x893b072b74466200,
+        0xe4674823e1cadae8,
+        0xeb5cd68e8daf3fee,
+        0x626422907a35c666,
+        0xa6c013d5eecef84f,
+        0xd77e23b4568caad5,
+        0xd9bb13c889580d5d,
+        0xcdd6fb7bb37402e9,
+        0x6bb5960edf26f014,
+        0x03d3845034ecdb68,
+        0x9bd80780f0b8ae47,
+        0xf4f82ef1e40959df,
+        0xfcd90f877e311699,
+        0x1f615495bc80fba3,
+        0x5cf352a41a1dcb6f,
+        0x80f8c0ccc64d1bd0,
+        0x912b465e3fe597fc,
+        0xcbaccb9699d62388,
+        0x7ffc53d789b797a5,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x012aa40ef694f4dd,
+        0x9bd80780f0b8ae47,
+        0xda348538024ab23c,
+        0xfcd90f877e311699,
+        0x1f615495bc80fba3,
+        0xa59a09cb5f738e7c,
+        0xf1cdfa5a05f1ccbe,
+        0xd30bcdaed4c827fe,
+        0xcbaccb9699d62388,
+        0x7ffc53d789b797a5,
+        0x95fbacc9155e54df,
+        0x893b072b74466200,
+        0xe4674823e1cadae8,
+        0xeb5cd68e8daf3fee,
+        0x626422907a35c666,
+        0xa6c013d5eecef84f,
+        0xd77e23b4568caad5,
+        0xd9bb13c889580d5d,
+        0xcdd6fb7bb37402e9,
+        0x6bb5960edf26f014,
+        0x012aa40ef694f4dd,
+        0x9bd80780f0b8ae47,
+        0xda348538024ab23c,
+        0xfcd90f877e311699,
+        0x1f615495bc80fba3,
+        0x5cf352a41a1dcb6f,
+        0x80f8c0ccc64d1bd0,
+        0x912b465e3fe597fc,
+        0xcbaccb9699d62388,
+        0x7ffc53d789b797a5,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ];
 }

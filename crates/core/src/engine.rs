@@ -27,7 +27,7 @@ use gpu_sim::{
     BackingMemory, DramReq, EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport,
     SectorAddr, SecurityEngine, TrafficClass, Violation, WritePlan,
 };
-use plutus_telemetry::{Counter, Event, Telemetry, TraceId, Tracer};
+use plutus_telemetry::{Counter, Event, Histogram, Span, Telemetry, TraceId, Tracer};
 use secure_mem::{
     plane, CounterAccess, CounterSystem, DataCipher, MacSystem, SecureMemError, TenantCrypto,
 };
@@ -95,11 +95,23 @@ pub struct PlutusEngine {
     tel_mac_avoided: Counter,
     tel_mac_skipped: Counter,
     tel_compact_fallbacks: Counter,
+    /// `span.engine.{fill,writeback}.ns` handles, fetched on the first
+    /// fill/writeback after telemetry is attached (see [`cached_span`]).
+    span_fill: Option<Histogram>,
+    span_writeback: Option<Histogram>,
     tracer: Tracer,
     /// Trace root of the demand access currently being served (set by
     /// the simulator via `begin_access_trace`), so engine-internal
     /// causal marks attribute to the right access.
     cur_trace: TraceId,
+}
+
+/// A wall-clock span into histogram `name`, fetched into `slot` on the
+/// first call. The histogram registers at that first call, as under
+/// [`Telemetry::span`], but later calls skip its `format!`, registry lock
+/// and name scan.
+fn cached_span(tel: &Telemetry, slot: &mut Option<Histogram>, name: &str) -> Span {
+    Span::enter(tel, slot.get_or_insert_with(|| tel.histogram(name)))
 }
 
 impl PlutusEngine {
@@ -154,6 +166,8 @@ impl PlutusEngine {
             tel_mac_avoided: Counter::disabled(),
             tel_mac_skipped: Counter::disabled(),
             tel_compact_fallbacks: Counter::disabled(),
+            span_fill: None,
+            span_writeback: None,
             tracer: Tracer::disabled(),
             cur_trace: TraceId::NONE,
         })
@@ -721,7 +735,7 @@ impl SecurityEngine for PlutusEngine {
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {
         self.fills += 1;
-        let _span = self.tel.span("engine.fill");
+        let _span = cached_span(&self.tel, &mut self.span_fill, "span.engine.fill.ns");
         let mut plan = FillPlan::default();
         let mut chain = Vec::new();
         let (ctr, ctr_hit) = self.resolve_read_counter(
@@ -827,7 +841,11 @@ impl SecurityEngine for PlutusEngine {
         mem: &mut BackingMemory,
     ) -> WritePlan {
         self.writebacks += 1;
-        let _span = self.tel.span("engine.writeback");
+        let _span = cached_span(
+            &self.tel,
+            &mut self.span_writeback,
+            "span.engine.writeback.ns",
+        );
         let mut plan = WritePlan::default();
         let mut chain = Vec::new();
         if let Some(tc) = &mut self.tenancy {
@@ -978,6 +996,8 @@ impl SecurityEngine for PlutusEngine {
         self.tel_mac_avoided = tel.counter("engine.mac_fetches_avoided");
         self.tel_mac_skipped = tel.counter("engine.mac_updates_skipped");
         self.tel_compact_fallbacks = tel.counter("engine.compact_fallbacks");
+        self.span_fill = None;
+        self.span_writeback = None;
         self.tracer = tel.tracer();
         self.tel = tel.clone();
     }

@@ -10,6 +10,7 @@
 //! verification on its next read, so its MAC update can be skipped
 //! entirely.
 
+use gpu_sim::AddrMap;
 use plutus_telemetry::{Counter, Event, Telemetry};
 
 /// Value-cache configuration (paper Table II: 1 kB, fully associative,
@@ -82,6 +83,16 @@ struct Entry {
     last_used: u64,
 }
 
+/// Where a key's entries sit: its position in `pinned` and in
+/// `transient`. A key is in both only after [`ValueCache::graft_pinned`]
+/// pins a key that is also transient; the pinned entry then shadows the
+/// transient one until LRU eviction removes it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slots {
+    pinned: Option<usize>,
+    transient: Option<usize>,
+}
+
 /// How a probe resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeResult {
@@ -106,6 +117,10 @@ pub struct ValueCache {
     cfg: ValueCacheConfig,
     pinned: Vec<Entry>,
     transient: Vec<Entry>,
+    /// Key → positions in `pinned` and `transient`, kept in step with
+    /// every push and `swap_remove`, so lookups take constant time while
+    /// the vectors keep the order LRU tie-breaks depend on.
+    index: AddrMap<Slots>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -129,6 +144,7 @@ impl ValueCache {
             cfg,
             pinned: Vec::with_capacity(cfg.pinned_capacity()),
             transient: Vec::new(),
+            index: AddrMap::default(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -158,6 +174,30 @@ impl ValueCache {
         value >> self.cfg.masked_bits
     }
 
+    fn slots(&self, key: u32) -> Slots {
+        self.index.get(&u64::from(key)).copied().unwrap_or_default()
+    }
+
+    fn slots_mut(&mut self, key: u32) -> &mut Slots {
+        self.index.entry(u64::from(key)).or_default()
+    }
+
+    /// Removes the transient entry at `pos` (`swap_remove`, so the last
+    /// entry moves into `pos`) and updates the index for both keys.
+    fn remove_transient(&mut self, pos: usize) -> Entry {
+        let e = self.transient.swap_remove(pos);
+        if let Some(moved) = self.transient.get(pos) {
+            let key = moved.key;
+            self.slots_mut(key).transient = Some(pos);
+        }
+        let slots = self.slots_mut(e.key);
+        slots.transient = None;
+        if slots.pinned.is_none() {
+            self.index.remove(&u64::from(e.key));
+        }
+        e
+    }
+
     /// Probes for `value` without inserting, updating recency and use
     /// counters on a hit.
     pub fn probe(&mut self, value: u32) -> ProbeResult {
@@ -180,20 +220,22 @@ impl ValueCache {
     fn probe_inner(&mut self, value: u32) -> ProbeResult {
         self.tick += 1;
         let key = self.key_of(value);
-        if let Some(e) = self.pinned.iter_mut().find(|e| e.key == key) {
-            e.last_used = self.tick;
+        let slots = self.slots(key);
+        if let Some(p) = slots.pinned {
+            self.pinned[p].last_used = self.tick;
             self.hits += 1;
             return ProbeResult::HitPinned;
         }
-        if let Some(pos) = self.transient.iter().position(|e| e.key == key) {
+        if let Some(pos) = slots.transient {
             self.transient[pos].last_used = self.tick;
             self.transient[pos].uses = (self.transient[pos].uses + 1).min(15);
             self.hits += 1;
             if self.transient[pos].uses >= self.cfg.promote_threshold
                 && self.pinned.len() < self.cfg.pinned_capacity()
             {
-                let e = self.transient.swap_remove(pos);
+                let e = self.remove_transient(pos);
                 self.pinned.push(e);
+                self.slots_mut(key).pinned = Some(self.pinned.len() - 1);
                 self.promotions += 1;
                 self.tel_promotions.inc();
                 if self.tel.enabled() {
@@ -215,12 +257,13 @@ impl ValueCache {
     /// also advances the recency clock exactly once, in the probe.)
     pub fn insert(&mut self, value: u32) {
         let key = self.key_of(value);
-        if let Some(e) = self.pinned.iter_mut().find(|e| e.key == key) {
-            e.last_used = self.tick;
+        let slots = self.slots(key);
+        if let Some(p) = slots.pinned {
+            self.pinned[p].last_used = self.tick;
             return;
         }
-        if let Some(e) = self.transient.iter_mut().find(|e| e.key == key) {
-            e.last_used = self.tick;
+        if let Some(t) = slots.transient {
+            self.transient[t].last_used = self.tick;
             return;
         }
         self.tick += 1;
@@ -234,7 +277,7 @@ impl ValueCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
             {
-                self.transient.swap_remove(pos);
+                self.remove_transient(pos);
             }
         }
         self.transient.push(Entry {
@@ -242,12 +285,12 @@ impl ValueCache {
             uses: 1,
             last_used: self.tick,
         });
+        self.slots_mut(key).transient = Some(self.transient.len() - 1);
     }
 
     /// True if `value` currently matches a pinned entry (no state change).
     pub fn is_pinned(&self, value: u32) -> bool {
-        let key = self.key_of(value);
-        self.pinned.iter().any(|e| e.key == key)
+        self.slots(self.key_of(value)).pinned.is_some()
     }
 
     /// Raw keys (already shifted by `masked_bits`) of every pinned entry.
@@ -263,7 +306,7 @@ impl ValueCache {
     /// pinned are skipped.
     pub fn graft_pinned(&mut self, keys: &[u32]) {
         for &key in keys {
-            if self.pinned.iter().any(|e| e.key == key) {
+            if self.slots(key).pinned.is_some() {
                 continue;
             }
             if self.pinned.len() >= self.cfg.pinned_capacity() {
@@ -275,6 +318,7 @@ impl ValueCache {
                 uses: self.cfg.promote_threshold,
                 last_used: self.tick,
             });
+            self.slots_mut(key).pinned = Some(self.pinned.len() - 1);
         }
     }
 
@@ -504,5 +548,201 @@ mod tests {
         c.insert(100 << 4); // evicts LRU, which must now be value 1
         assert!(c.probe(0).is_hit(), "refreshed entry was evicted");
         assert_eq!(c.probe(1 << 4), ProbeResult::Miss);
+    }
+
+    /// The linear-scan value cache the key index replaced, kept verbatim
+    /// (minus telemetry) as the oracle for the indexed implementation.
+    struct LinearScan {
+        cfg: ValueCacheConfig,
+        pinned: Vec<Entry>,
+        transient: Vec<Entry>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+        promotions: u64,
+    }
+
+    impl LinearScan {
+        fn new(cfg: ValueCacheConfig) -> Self {
+            Self {
+                cfg,
+                pinned: Vec::new(),
+                transient: Vec::new(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                promotions: 0,
+            }
+        }
+
+        fn key_of(&self, value: u32) -> u32 {
+            value >> self.cfg.masked_bits
+        }
+
+        fn probe(&mut self, value: u32) -> ProbeResult {
+            self.tick += 1;
+            let key = self.key_of(value);
+            if let Some(e) = self.pinned.iter_mut().find(|e| e.key == key) {
+                e.last_used = self.tick;
+                self.hits += 1;
+                return ProbeResult::HitPinned;
+            }
+            if let Some(pos) = self.transient.iter().position(|e| e.key == key) {
+                self.transient[pos].last_used = self.tick;
+                self.transient[pos].uses = (self.transient[pos].uses + 1).min(15);
+                self.hits += 1;
+                if self.transient[pos].uses >= self.cfg.promote_threshold
+                    && self.pinned.len() < self.cfg.pinned_capacity()
+                {
+                    let e = self.transient.swap_remove(pos);
+                    self.pinned.push(e);
+                    self.promotions += 1;
+                    return ProbeResult::HitPinned;
+                }
+                return ProbeResult::HitTransient;
+            }
+            self.misses += 1;
+            ProbeResult::Miss
+        }
+
+        fn insert(&mut self, value: u32) {
+            let key = self.key_of(value);
+            if let Some(e) = self.pinned.iter_mut().find(|e| e.key == key) {
+                e.last_used = self.tick;
+                return;
+            }
+            if let Some(e) = self.transient.iter_mut().find(|e| e.key == key) {
+                e.last_used = self.tick;
+                return;
+            }
+            self.tick += 1;
+            let capacity = self.cfg.entries - self.pinned.len();
+            if self.transient.len() >= capacity {
+                if let Some(pos) = self
+                    .transient
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(i, _)| i)
+                {
+                    self.transient.swap_remove(pos);
+                }
+            }
+            self.transient.push(Entry {
+                key,
+                uses: 1,
+                last_used: self.tick,
+            });
+        }
+
+        fn is_pinned(&self, value: u32) -> bool {
+            let key = self.key_of(value);
+            self.pinned.iter().any(|e| e.key == key)
+        }
+
+        fn graft_pinned(&mut self, keys: &[u32]) {
+            for &key in keys {
+                if self.pinned.iter().any(|e| e.key == key) {
+                    continue;
+                }
+                if self.pinned.len() >= self.cfg.pinned_capacity() {
+                    break;
+                }
+                self.tick += 1;
+                self.pinned.push(Entry {
+                    key,
+                    uses: self.cfg.promote_threshold,
+                    last_used: self.tick,
+                });
+            }
+        }
+    }
+
+    fn entries(v: &[Entry]) -> Vec<(u32, u8, u64)> {
+        v.iter().map(|e| (e.key, e.uses, e.last_used)).collect()
+    }
+
+    /// The key index changes no observable behaviour: for seeded random
+    /// streams of probes, inserts, `is_pinned` checks and grafts (including
+    /// grafts of keys that are also transient) over small caches that churn,
+    /// every result, statistic and the full entry state (order, use
+    /// counters, recency) match the linear-scan oracle, and the index
+    /// points at exactly the live entries.
+    #[test]
+    fn index_matches_linear_scan_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fractions = [0.0, 0.25, 0.5, 0.9];
+            let cfg = ValueCacheConfig {
+                entries: rng.gen_range(1usize..24),
+                pinned_fraction: fractions[rng.gen_range(0usize..fractions.len())],
+                promote_threshold: rng.gen_range(1u8..6),
+                masked_bits: rng.gen_range(0u32..4),
+            };
+            let mut fast = ValueCache::new(cfg);
+            let mut oracle = LinearScan::new(cfg);
+            let domain = rng.gen_range(2u32..160);
+            for step in 0..1500 {
+                let v = rng.gen_range(0..domain);
+                match rng.gen_range(0u32..20) {
+                    0..=7 => assert_eq!(fast.probe(v), oracle.probe(v), "seed {seed} step {step}"),
+                    8..=15 => {
+                        fast.insert(v);
+                        oracle.insert(v);
+                    }
+                    16..=18 => assert_eq!(fast.is_pinned(v), oracle.is_pinned(v)),
+                    _ => {
+                        // Graft a mix of transient keys and fresh ones.
+                        let mut keys: Vec<u32> = oracle.transient.iter().map(|e| e.key).collect();
+                        keys.truncate(rng.gen_range(0usize..4));
+                        keys.push(oracle.key_of(v));
+                        fast.graft_pinned(&keys);
+                        oracle.graft_pinned(&keys);
+                    }
+                }
+                assert_eq!(
+                    fast.stats(),
+                    (oracle.hits, oracle.misses, oracle.promotions)
+                );
+                assert_eq!(
+                    fast.occupancy(),
+                    (oracle.pinned.len(), oracle.transient.len())
+                );
+                assert_eq!(
+                    fast.pinned_keys(),
+                    oracle.pinned.iter().map(|e| e.key).collect::<Vec<_>>()
+                );
+                assert_eq!(entries(&fast.pinned), entries(&oracle.pinned));
+                assert_eq!(entries(&fast.transient), entries(&oracle.transient));
+                assert_eq!(fast.tick, oracle.tick);
+                let live = fast.pinned.len() + fast.transient.len();
+                let indexed: usize = fast
+                    .index
+                    .iter()
+                    .map(|(&k, s)| {
+                        let k = k as u32;
+                        assert!(s.pinned.is_some() || s.transient.is_some());
+                        assert!(s.pinned.is_none_or(|p| fast.pinned[p].key == k));
+                        assert!(s.transient.is_none_or(|t| fast.transient[t].key == k));
+                        usize::from(s.pinned.is_some()) + usize::from(s.transient.is_some())
+                    })
+                    .sum();
+                assert_eq!(indexed, live, "index must cover exactly the live entries");
+            }
+        }
+    }
+
+    /// A grafted key that is also transient: the pinned copy shadows the
+    /// transient one, which stays until LRU eviction.
+    #[test]
+    fn graft_of_transient_key_shadows_it() {
+        let mut c = cache();
+        c.insert(3 << 4);
+        c.graft_pinned(&[3]);
+        assert_eq!(c.occupancy(), (1, 1));
+        assert_eq!(c.probe(3 << 4), ProbeResult::HitPinned);
+        assert_eq!(c.stats().2, 0, "the transient copy is never promoted");
     }
 }

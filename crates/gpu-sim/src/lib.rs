@@ -56,7 +56,7 @@ pub use config::{DramConfig, GpuConfig, SecurityLatencies};
 pub use dram::{BankStat, DramBreakdown};
 pub use fault::{FaultKind, FaultSchedule, FaultTrigger, ScheduledFault};
 pub use ledger::{CycleLedger, LedgerWeights, PartitionLedger, StallBucket, NUM_STALL_BUCKETS};
-pub use mem::{AddrMap, BackingMemory};
+pub use mem::{AddrMap, AddrSet, BackingMemory};
 pub use security::{
     DetectionLayer, DramReq, EngineFactory, FillPlan, MetaFault, NoSecurityEngine, RecoveryError,
     RecoveryReport, SecurityEngine, Violation, WritePlan,

@@ -11,13 +11,16 @@
 //! threat model, and integration tests drive detection through them.
 
 use crate::address::{SectorAddr, SECTOR_SIZE};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A map keyed by a simulated address or sector index, hashed with
-/// [`AddrHasher`]. Every per-sector functional table (memory contents,
-/// MAC tags) uses it.
+/// [`AddrHasher`]. Every per-access functional table (memory contents,
+/// MAC tags, counters, leaf hashes) uses it.
 pub type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
+
+/// A set of simulated addresses or indices, hashed with [`AddrHasher`].
+pub type AddrSet = HashSet<u64, BuildHasherDefault<AddrHasher>>;
 
 /// A fixed, cheap hasher for `u64` addresses: one folded 64×64→128-bit
 /// multiply, whose high and low halves are XORed so every key bit reaches

@@ -17,10 +17,9 @@ use crate::config::SecureMemConfig;
 use crate::counter_store::CounterStore;
 use crate::layout::Layout;
 use gpu_sim::cache::SectoredCache;
-use gpu_sim::{DramReq, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
+use gpu_sim::{AddrMap, DramReq, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
 use plutus_crypto::Cmac;
 use plutus_telemetry::{Event, Histogram, Telemetry};
-use std::collections::HashMap;
 
 /// Timing and verification products of a BMT operation.
 #[derive(Debug, Clone, Default)]
@@ -54,7 +53,7 @@ pub struct Bmt {
     layout: Layout,
     cache: SectoredCache,
     cmac: Cmac,
-    leaf_hashes: HashMap<u64, u64>,
+    leaf_hashes: AddrMap<u64>,
     disabled: bool,
     node_fetches: u64,
     node_hits: u64,
@@ -82,7 +81,7 @@ impl Bmt {
             layout,
             cache,
             cmac: Cmac::new(cfg.bmt_key),
-            leaf_hashes: HashMap::new(),
+            leaf_hashes: AddrMap::default(),
             disabled: cfg.disable_tree,
             node_fetches: 0,
             node_hits: 0,
@@ -107,7 +106,7 @@ impl Bmt {
         let mut buf = Vec::with_capacity(8 + 36 * count as usize);
         buf.extend_from_slice(&leaf.to_le_bytes());
         for g in first..first + count {
-            buf.extend_from_slice(&store.serialize_group(g));
+            store.serialize_group_into(g, &mut buf);
         }
         u64::from_le_bytes(self.cmac.mac(&buf)[..8].try_into().unwrap())
     }

@@ -8,13 +8,14 @@
 //! cost, surfaced to the engine via [`IncrementOutcome::GroupOverflow`].
 
 use crate::layout::SECTORS_PER_COUNTER_GROUP;
-use gpu_sim::SectorAddr;
-use std::collections::HashMap;
+use gpu_sim::{AddrMap, SectorAddr, SECTORS_PER_BLOCK};
 
 /// Minor counter width in bits.
 pub const MINOR_BITS: u32 = 7;
 /// Maximum minor counter value before a group overflow.
 pub const MINOR_MAX: u8 = (1 << MINOR_BITS) - 1;
+
+const BLOCK_SECTORS: u64 = SECTORS_PER_BLOCK as u64;
 
 /// Result of incrementing a sector's write counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,12 +40,16 @@ pub enum IncrementOutcome {
 
 /// Functional storage for encryption counters (split-sectored by default,
 /// SGX-style monolithic as the comparison organization).
+///
+/// Split minors are stored per 128 B data block, the unit `partition_of`
+/// interleaves memory by, so one engine's table never holds another
+/// partition's sectors; a counter group's 32 minors are 8 block lookups.
 #[derive(Debug, Clone)]
 pub struct CounterStore {
     org: crate::config::CounterOrg,
-    majors: HashMap<u64, u32>,
-    minors: HashMap<u64, u8>,
-    monolithic: HashMap<u64, u64>,
+    majors: AddrMap<u32>,
+    minors: AddrMap<[u8; SECTORS_PER_BLOCK]>,
+    monolithic: AddrMap<u64>,
 }
 
 impl Default for CounterStore {
@@ -63,14 +68,24 @@ impl CounterStore {
     pub fn with_org(org: crate::config::CounterOrg) -> Self {
         Self {
             org,
-            majors: HashMap::new(),
-            minors: HashMap::new(),
-            monolithic: HashMap::new(),
+            majors: AddrMap::default(),
+            minors: AddrMap::default(),
+            monolithic: AddrMap::default(),
         }
     }
 
     fn group_of(&self, sector: SectorAddr) -> u64 {
         sector.index() / self.org.sectors_per_group()
+    }
+
+    fn minor_mut(&mut self, sector: SectorAddr) -> &mut u8 {
+        let block = self.minors.entry(sector.block().index()).or_default();
+        &mut block[sector.sector_in_block()]
+    }
+
+    /// The minors of data block `block` (zero if never written).
+    fn block_minors(&self, block: u64) -> [u8; SECTORS_PER_BLOCK] {
+        self.minors.get(&block).copied().unwrap_or_default()
     }
 
     /// Combined tweak-counter value of `sector`.
@@ -80,9 +95,7 @@ impl CounterStore {
                 *self.monolithic.get(&sector.index()).unwrap_or(&0)
             }
             crate::config::CounterOrg::SplitSectored => {
-                let major = *self.majors.get(&self.group_of(sector)).unwrap_or(&0);
-                let minor = *self.minors.get(&sector.index()).unwrap_or(&0);
-                (u64::from(major) << MINOR_BITS) | u64::from(minor)
+                (u64::from(self.major(sector)) << MINOR_BITS) | u64::from(self.minor(sector))
             }
         }
     }
@@ -94,7 +107,9 @@ impl CounterStore {
 
     /// Minor counter of `sector`.
     pub fn minor(&self, sector: SectorAddr) -> u8 {
-        *self.minors.get(&sector.index()).unwrap_or(&0)
+        self.minors
+            .get(&sector.block().index())
+            .map_or(0, |m| m[sector.sector_in_block()])
     }
 
     /// Increments `sector`'s counter for a write, handling group overflow.
@@ -105,7 +120,7 @@ impl CounterStore {
             return IncrementOutcome::Normal { new_value: *v };
         }
         let group = self.group_of(sector);
-        let minor = self.minors.entry(sector.index()).or_insert(0);
+        let minor = self.minor_mut(sector);
         if *minor < MINOR_MAX {
             *minor += 1;
             return IncrementOutcome::Normal {
@@ -113,18 +128,20 @@ impl CounterStore {
             };
         }
         // Overflow: capture old values, bump major, clear minors.
-        let major = *self.majors.get(&group).unwrap_or(&0);
-        let base = group * SECTORS_PER_COUNTER_GROUP;
-        let old_values = (0..SECTORS_PER_COUNTER_GROUP)
-            .map(|i| {
-                let minor = *self.minors.get(&(base + i)).unwrap_or(&0);
-                (u64::from(major) << MINOR_BITS) | u64::from(minor)
-            })
+        let major = self.major(sector);
+        let first_block = group * SECTORS_PER_COUNTER_GROUP / BLOCK_SECTORS;
+        let blocks = first_block..first_block + SECTORS_PER_COUNTER_GROUP / BLOCK_SECTORS;
+        let old_values = blocks
+            .clone()
+            .flat_map(|b| self.block_minors(b))
+            .map(|minor| (u64::from(major) << MINOR_BITS) | u64::from(minor))
             .collect();
         let new_major = major.checked_add(1).expect("major counter exhausted");
         self.majors.insert(group, new_major);
-        for i in 0..SECTORS_PER_COUNTER_GROUP {
-            self.minors.insert(base + i, 0);
+        for b in blocks {
+            if let Some(m) = self.minors.get_mut(&b) {
+                *m = [0; SECTORS_PER_BLOCK];
+            }
         }
         IncrementOutcome::GroupOverflow {
             new_value: u64::from(new_major) << MINOR_BITS,
@@ -132,30 +149,25 @@ impl CounterStore {
         }
     }
 
-    /// Serializes the counter sector of `sector`'s group for BMT leaf
+    /// Appends the counter sector of group `group` to `out` for BMT leaf
     /// hashing: major (LE) followed by the 32 minor bytes (split), or the
     /// four 64-bit counters (monolithic).
-    pub fn serialize_group(&self, group: u64) -> Vec<u8> {
+    pub fn serialize_group_into(&self, group: u64, out: &mut Vec<u8>) {
         let per = self.org.sectors_per_group();
         let base = group * per;
         match self.org {
             crate::config::CounterOrg::Monolithic => {
-                let mut out = Vec::with_capacity(8 * per as usize);
-                for i in 0..per {
-                    out.extend_from_slice(
-                        &self.monolithic.get(&(base + i)).unwrap_or(&0).to_le_bytes(),
-                    );
+                for i in base..base + per {
+                    out.extend_from_slice(&self.monolithic.get(&i).unwrap_or(&0).to_le_bytes());
                 }
-                out
             }
             crate::config::CounterOrg::SplitSectored => {
                 let major = *self.majors.get(&group).unwrap_or(&0);
-                let mut out = Vec::with_capacity(4 + per as usize);
                 out.extend_from_slice(&major.to_le_bytes());
-                for i in 0..per {
-                    out.push(*self.minors.get(&(base + i)).unwrap_or(&0));
+                let first_block = base / BLOCK_SECTORS;
+                for b in first_block..first_block + per / BLOCK_SECTORS {
+                    out.extend_from_slice(&self.block_minors(b));
                 }
-                out
             }
         }
     }
@@ -180,7 +192,7 @@ impl CounterStore {
             value >= cur,
             "counter must not move backwards ({cur} -> {value})"
         );
-        self.minors.insert(sector.index(), value);
+        *self.minor_mut(sector) = value;
     }
 
     /// Crash-recovery hook: overwrite `sector`'s counter with a value
@@ -200,8 +212,7 @@ impl CounterStore {
                 let major = u32::try_from(value >> MINOR_BITS)
                     .expect("recovered counter exceeds the 32-bit major range");
                 self.majors.insert(self.group_of(sector), major);
-                self.minors
-                    .insert(sector.index(), (value & u64::from(MINOR_MAX)) as u8);
+                *self.minor_mut(sector) = (value & u64::from(MINOR_MAX)) as u8;
             }
         }
     }
@@ -226,7 +237,7 @@ impl CounterStore {
                 self.monolithic.insert(sector.index(), u64::from(value));
             }
             crate::config::CounterOrg::SplitSectored => {
-                self.minors.insert(sector.index(), value);
+                *self.minor_mut(sector) = value;
             }
         }
     }
@@ -238,6 +249,12 @@ mod tests {
 
     fn s(i: u64) -> SectorAddr {
         SectorAddr::new(i * 32)
+    }
+
+    fn serialize(c: &CounterStore, group: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        c.serialize_group_into(group, &mut out);
+        out
     }
 
     #[test]
@@ -316,9 +333,9 @@ mod tests {
     #[test]
     fn serialize_group_reflects_state() {
         let mut c = CounterStore::new();
-        let before = c.serialize_group(0);
+        let before = serialize(&c, 0);
         c.increment(s(3));
-        let after = c.serialize_group(0);
+        let after = serialize(&c, 0);
         assert_ne!(before, after);
         assert_eq!(after.len(), 36);
         assert_eq!(after[4 + 3], 1);
@@ -344,7 +361,7 @@ mod tests {
     fn monolithic_serialization_covers_four_sectors() {
         let mut c = CounterStore::with_org(crate::config::CounterOrg::Monolithic);
         c.increment(s(1));
-        let bytes = c.serialize_group(0);
+        let bytes = serialize(&c, 0);
         assert_eq!(bytes.len(), 32, "4 × 64-bit counters fill the 32 B sector");
         assert_eq!(u64::from_le_bytes(bytes[8..16].try_into().unwrap()), 1);
     }
@@ -388,8 +405,8 @@ mod tests {
     fn tamper_changes_serialization() {
         let mut c = CounterStore::new();
         c.increment(s(0));
-        let honest = c.serialize_group(0);
+        let honest = serialize(&c, 0);
         c.tamper_minor(s(0), 99);
-        assert_ne!(c.serialize_group(0), honest);
+        assert_ne!(serialize(&c, 0), honest);
     }
 }

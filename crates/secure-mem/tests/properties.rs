@@ -5,7 +5,12 @@
 use gpu_sim::{BackingMemory, SectorAddr, SecurityEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secure_mem::{CounterStore, IncrementOutcome, MacStore, PssmEngine, SecureMemConfig};
+use secure_mem::bmt::Bmt;
+use secure_mem::counter_store::{MINOR_BITS, MINOR_MAX};
+use secure_mem::{
+    CounterOrg, CounterStore, IncrementOutcome, Layout, MacStore, PssmEngine, SecureMemConfig,
+};
+use std::collections::HashMap;
 
 const SEEDS: u64 = 24;
 
@@ -125,5 +130,257 @@ fn pssm_detects_arbitrary_bit_flips() {
         assert!(mem.corrupt(addr, &mask));
         let fill = engine.on_fill(addr, &mut mem);
         assert!(fill.violation.is_some());
+    }
+}
+
+/// BMT leaf hashes after a fixed seeded sequence of counter updates
+/// (increments with forced group overflows, `set_minor`, `restore` and
+/// `tamper_minor`), for both organizations. The constants were captured
+/// from the per-sector counter store, so any change to counter storage or
+/// leaf serialization that moves a single hash fails here.
+#[test]
+fn bmt_leaf_hashes_are_pinned() {
+    let mut got = Vec::new();
+    for org in [CounterOrg::SplitSectored, CounterOrg::Monolithic] {
+        let cfg = SecureMemConfig {
+            counter_org: org,
+            ..SecureMemConfig::test_small()
+        };
+        let bmt = Bmt::new(&cfg, Layout::new(&cfg));
+        let mut store = CounterStore::with_org(org);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..3000 {
+            // Half the operations hit 8 hot sectors, so minors overflow.
+            let idx = if rng.gen::<bool>() {
+                rng.gen_range(0u64..8)
+            } else {
+                rng.gen_range(0u64..256)
+            };
+            let sector = SectorAddr::new(idx * 32);
+            match rng.gen_range(0u32..20) {
+                0 => store.restore(sector, store.value(sector) + rng.gen_range(0u64..300)),
+                1 => store.tamper_minor(sector, rng.gen_range(0u8..=MINOR_MAX)),
+                2 if org == CounterOrg::SplitSectored => {
+                    let cur = store.minor(sector);
+                    store.set_minor(sector, rng.gen_range(cur..=MINOR_MAX));
+                }
+                _ => {
+                    store.increment(sector);
+                }
+            }
+        }
+        let leaves = if org == CounterOrg::SplitSectored {
+            4
+        } else {
+            18
+        };
+        got.extend((0..leaves).map(|leaf| bmt.recompute_leaf(leaf, &store)));
+    }
+    assert_eq!(got, PINNED_BMT_LEAVES);
+}
+
+const PINNED_BMT_LEAVES: [u64; 22] = [
+    0xfe226656ffbdae44,
+    0x66d3153bb282cea3,
+    0x0719b605caed3e26,
+    0x78dcec0082d71c70,
+    0x4c452e591264d256,
+    0x7fc0b070b80abdbd,
+    0x760964a03829a6e5,
+    0x464b9ef5efc2a036,
+    0x8b4bda08ca753686,
+    0x68e1b704787010fd,
+    0xbf057422f25f6f6c,
+    0xf3b6ba865af63f52,
+    0x5e0ae71b7410b25d,
+    0xbae669fe1d840fbc,
+    0xb3e8e19be2e63020,
+    0xf932f7deb30f9a20,
+    0xb928283165c12c88,
+    0x0875f6e8e36242ec,
+    0x23b61b3e3aa04789,
+    0x6376463af831aaf1,
+    0x645f5da2629056b3,
+    0xe8be6ace0998ec62,
+];
+
+/// The per-sector counter model the block-keyed [`CounterStore`] must
+/// match: one map entry per sector minor, per group major and per
+/// monolithic counter.
+struct PerSectorCounters {
+    org: CounterOrg,
+    majors: HashMap<u64, u32>,
+    minors: HashMap<u64, u8>,
+    monolithic: HashMap<u64, u64>,
+}
+
+impl PerSectorCounters {
+    fn new(org: CounterOrg) -> Self {
+        Self {
+            org,
+            majors: HashMap::new(),
+            minors: HashMap::new(),
+            monolithic: HashMap::new(),
+        }
+    }
+
+    fn per(&self) -> u64 {
+        self.org.sectors_per_group()
+    }
+
+    fn value(&self, i: u64) -> u64 {
+        match self.org {
+            CounterOrg::Monolithic => self.monolithic.get(&i).copied().unwrap_or(0),
+            CounterOrg::SplitSectored => {
+                let major = self.majors.get(&(i / self.per())).copied().unwrap_or(0);
+                (u64::from(major) << MINOR_BITS) | u64::from(self.minor(i))
+            }
+        }
+    }
+
+    fn minor(&self, i: u64) -> u8 {
+        self.minors.get(&i).copied().unwrap_or(0)
+    }
+
+    fn increment(&mut self, i: u64) -> IncrementOutcome {
+        if self.org == CounterOrg::Monolithic {
+            let v = self.monolithic.entry(i).or_insert(0);
+            *v += 1;
+            return IncrementOutcome::Normal { new_value: *v };
+        }
+        if self.minor(i) < MINOR_MAX {
+            *self.minors.entry(i).or_insert(0) += 1;
+            return IncrementOutcome::Normal {
+                new_value: self.value(i),
+            };
+        }
+        let group = i / self.per();
+        let base = group * self.per();
+        let old_values = (base..base + self.per()).map(|s| self.value(s)).collect();
+        let major = self.majors.entry(group).or_insert(0);
+        *major += 1;
+        let new_value = u64::from(*major) << MINOR_BITS;
+        for s in base..base + self.per() {
+            self.minors.insert(s, 0);
+        }
+        IncrementOutcome::GroupOverflow {
+            new_value,
+            old_values,
+        }
+    }
+
+    fn restore(&mut self, i: u64, value: u64) {
+        match self.org {
+            CounterOrg::Monolithic => {
+                self.monolithic.insert(i, value);
+            }
+            CounterOrg::SplitSectored => {
+                self.majors
+                    .insert(i / self.per(), (value >> MINOR_BITS) as u32);
+                self.minors.insert(i, (value & u64::from(MINOR_MAX)) as u8);
+            }
+        }
+    }
+
+    fn tamper_minor(&mut self, i: u64, value: u8) {
+        match self.org {
+            CounterOrg::Monolithic => self.monolithic.insert(i, u64::from(value)),
+            CounterOrg::SplitSectored => self.minors.insert(i, value).map(u64::from),
+        };
+    }
+
+    fn serialize_group(&self, group: u64) -> Vec<u8> {
+        let base = group * self.per();
+        let mut out = Vec::new();
+        match self.org {
+            CounterOrg::Monolithic => {
+                for s in base..base + self.per() {
+                    out.extend_from_slice(&self.value(s).to_le_bytes());
+                }
+            }
+            CounterOrg::SplitSectored => {
+                let major = self.majors.get(&group).copied().unwrap_or(0);
+                out.extend_from_slice(&major.to_le_bytes());
+                out.extend((base..base + self.per()).map(|s| self.minor(s)));
+            }
+        }
+        out
+    }
+}
+
+/// The block-keyed counter store is observably identical to the
+/// per-sector model for both organizations: the same increment outcomes
+/// (including forced group overflows), values, majors, minors and
+/// recovery floors, and byte-identical `serialize_group_into` output for
+/// every group, across seeded streams of increments, `set_minor`,
+/// `restore` and `tamper_minor`.
+#[test]
+fn counter_store_matches_per_sector_model() {
+    for org in [CounterOrg::SplitSectored, CounterOrg::Monolithic] {
+        for seed in 0..SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut store = CounterStore::with_org(org);
+            let mut model = PerSectorCounters::new(org);
+            let sectors = rng.gen_range(8u64..200);
+            let groups = sectors.div_ceil(org.sectors_per_group()) + 1;
+            for step in 0..2000 {
+                // A few hot sectors take most writes, so minors overflow.
+                let i = if rng.gen_range(0u32..4) > 0 {
+                    rng.gen_range(0u64..4)
+                } else {
+                    rng.gen_range(0u64..sectors)
+                };
+                let sector = SectorAddr::new(i * 32);
+                match rng.gen_range(0u32..40) {
+                    0 => {
+                        let v = model.value(i) + rng.gen_range(0u64..400);
+                        store.restore(sector, v);
+                        model.restore(i, v);
+                    }
+                    1 => {
+                        let v = rng.gen_range(0u8..=MINOR_MAX);
+                        store.tamper_minor(sector, v);
+                        model.tamper_minor(i, v);
+                    }
+                    2 | 3 if org == CounterOrg::SplitSectored => {
+                        let v = rng.gen_range(model.minor(i)..=MINOR_MAX);
+                        store.set_minor(sector, v);
+                        model.minors.insert(i, v);
+                    }
+                    _ => assert_eq!(
+                        store.increment(sector),
+                        model.increment(i),
+                        "{org:?} seed {seed} step {step}"
+                    ),
+                }
+                assert_eq!(store.value(sector), model.value(i));
+                assert_eq!(store.minor(sector), model.minor(i));
+                let floor = match org {
+                    CounterOrg::SplitSectored => model.value(i) & !u64::from(MINOR_MAX),
+                    CounterOrg::Monolithic => model.value(i),
+                };
+                assert_eq!(store.recovery_floor(sector), floor);
+                let group = i / org.sectors_per_group();
+                let mut bytes = Vec::new();
+                store.serialize_group_into(group, &mut bytes);
+                assert_eq!(bytes, model.serialize_group(group));
+            }
+            for i in 0..sectors {
+                let sector = SectorAddr::new(i * 32);
+                assert_eq!(store.value(sector), model.value(i));
+                if org == CounterOrg::SplitSectored {
+                    assert_eq!(
+                        store.major(sector),
+                        model.majors.get(&(i / 32)).copied().unwrap_or(0)
+                    );
+                }
+            }
+            for group in 0..groups {
+                let mut bytes = vec![0xaa];
+                store.serialize_group_into(group, &mut bytes);
+                assert_eq!(bytes[0], 0xaa, "serialize_group_into appends");
+                assert_eq!(bytes[1..], model.serialize_group(group));
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! are counted as dropped rather than growing without limit.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A structured event on the secure-memory pipeline.
@@ -356,6 +356,9 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 16_384;
 #[derive(Debug)]
 pub struct EventLog {
     events: Mutex<VecDeque<TimedEvent>>,
+    /// Mirror of `events.len()`, written under the lock, so a full log
+    /// counts a drop without taking the lock.
+    len: AtomicUsize,
     capacity: usize,
     dropped: AtomicU64,
     high_water: AtomicU64,
@@ -366,6 +369,7 @@ impl EventLog {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             events: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
             capacity,
             dropped: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
@@ -379,14 +383,26 @@ impl EventLog {
 
     /// Records `event` at time `time`.
     pub fn record(&self, time: u64, event: Event) {
+        self.record_with(|| time, event);
+    }
+
+    /// Records `event` at the time `now` returns, calling it only when
+    /// the event is kept: a full log counts the drop without taking the
+    /// lock or reading a clock.
+    pub fn record_with(&self, now: impl FnOnce() -> u64, event: Event) {
         if self.capacity == 0 {
+            return;
+        }
+        if self.len.load(Ordering::Relaxed) >= self.capacity {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let mut events = self.events.lock().unwrap();
         if events.len() >= self.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         } else {
-            events.push_back(TimedEvent { time, event });
+            events.push_back(TimedEvent { time: now(), event });
+            self.len.store(events.len(), Ordering::Relaxed);
             self.high_water
                 .fetch_max(events.len() as u64, Ordering::Relaxed);
         }
@@ -421,7 +437,9 @@ impl EventLog {
 
     /// Removes and returns all retained events, oldest first.
     pub fn drain(&self) -> Vec<TimedEvent> {
-        self.events.lock().unwrap().drain(..).collect()
+        let mut events = self.events.lock().unwrap();
+        self.len.store(0, Ordering::Relaxed);
+        events.drain(..).collect()
     }
 }
 
@@ -475,6 +493,41 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 0);
         assert_eq!(log.high_water(), 0);
+    }
+
+    /// A full log drops without reading the clock, and draining it
+    /// reopens it: the refill keeps exactly `capacity` more events and
+    /// counts the rest, as if the drops had been decided under the lock.
+    #[test]
+    fn full_log_drops_then_drain_refills() {
+        let log = EventLog::with_capacity(3);
+        let reads = std::cell::Cell::new(0u64);
+        let now = || {
+            reads.set(reads.get() + 1);
+            reads.get()
+        };
+        for _ in 0..5 {
+            log.record_with(now, Event::ValueCacheMiss);
+        }
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.dropped(), 2);
+        assert_eq!(reads.get(), 3, "dropped events must not read the clock");
+        let drained = log.drain();
+        assert_eq!(
+            drained.iter().map(|e| e.time).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        assert!(log.is_empty());
+        for i in 0..4 {
+            log.record(100 + i, Event::BmtWalk { depth: i as u32 });
+        }
+        let kept = log.to_vec();
+        assert_eq!(
+            kept.iter().map(|e| e.time).collect::<Vec<_>>(),
+            vec![100, 101, 102]
+        );
+        assert_eq!(log.dropped(), 3);
+        assert_eq!(log.high_water(), 3);
     }
 
     #[test]

@@ -181,7 +181,9 @@ impl Telemetry {
 
     /// Records `event` at the current clock reading.
     pub fn event(&self, event: Event) {
-        self.inner.events.record(self.inner.clock.now(), event);
+        self.inner
+            .events
+            .record_with(|| self.inner.clock.now(), event);
     }
 
     /// The causal flight recorder sharing this instance's clock. Clones
