@@ -25,12 +25,11 @@ use crate::config::PlutusConfig;
 use crate::verify::{ValueVerifier, Verdict, WriteScreen};
 use gpu_sim::{
     BackingMemory, DramReq, EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport,
-    SectorAddr, SecurityEngine, TrafficClass, Violation, WritePlan,
+    SectorAddr, SecurityEngine, Violation, WritePlan,
 };
 use plutus_telemetry::{Counter, Event, Histogram, Span, Telemetry, TraceId, Tracer};
-use secure_mem::{
-    plane, CounterAccess, CounterSystem, DataCipher, MacSystem, SecureMemError, TenantCrypto,
-};
+use secure_mem::plane::{DataPlane, Settled, RECOVERY_PROBE_BOUND};
+use secure_mem::{CounterAccess, CounterSystem, MacSystem, SecureMemError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Fill failures (retries or escalations) before the value-cache fast path
@@ -41,43 +40,16 @@ const VERIFIER_FREEZE_FAILURES: u64 = 4;
 /// is frozen onto the split-counter path.
 const BLOCK_FREEZE_FAILURES: u32 = 8;
 
-/// Upper bound on split-counter candidates probed per sector during
-/// Phoenix-style crash recovery.
-const RECOVERY_PROBE_BOUND: u64 = 1 << 14;
-
-/// How one sector's counter was settled during crash recovery.
-enum RecoverKind {
-    /// The reverted state already verifies.
-    Consistent,
-    /// A probed candidate was proven by the persistent MAC.
-    Mac,
-    /// The pinned-value screen vouched for a sector whose MAC update was
-    /// legitimately skipped; the MAC was repaired in place.
-    Value,
-}
-
-/// A counter candidate that checked out during crash recovery.
-#[derive(Clone, Copy)]
-struct Candidate {
-    /// Proven by the persistent MAC (vs vouched by the pinned screen).
-    by_mac: bool,
-    /// Verified under the pending new-generation cipher of a mid-flight
-    /// key-rotation walk (the crash reverted the walk frontier).
-    new_gen: bool,
-}
-
 /// The Plutus engine (one per memory partition).
 #[derive(Debug, Clone)]
 pub struct PlutusEngine {
     cfg: PlutusConfig,
-    cipher: DataCipher,
+    /// Cipher, MACs, and (multi-tenant operation only) the per-tenant key
+    /// table, rotation walk, and storm gate.
+    plane: DataPlane,
     counters: CounterSystem,
-    macs: MacSystem,
     verifier: Option<ValueVerifier>,
     compact: Option<CompactCounters>,
-    /// Per-tenant key table, rotation walk, and storm gate (multi-tenant
-    /// operation only).
-    tenancy: Option<TenantCrypto>,
     fills: u64,
     writebacks: u64,
     mac_fetches_avoided: u64,
@@ -106,6 +78,43 @@ pub struct PlutusEngine {
     cur_trace: TraceId,
 }
 
+/// The counter a read of `addr` would decrypt with right now, without
+/// generating traffic: the compact value while that layer serves the
+/// sector, the original split value otherwise.
+fn live_counter(
+    compact: &Option<CompactCounters>,
+    counters: &CounterSystem,
+    addr: SectorAddr,
+) -> u64 {
+    compact
+        .as_ref()
+        .and_then(|c| c.peek_live(addr))
+        .unwrap_or_else(|| counters.peek_value(addr))
+}
+
+/// Places a recovered counter value in the layer that serves the sector:
+/// the compact layer while the value is inside its range, the split
+/// counters otherwise.
+fn restore_live(
+    compact: &mut Option<CompactCounters>,
+    counters: &mut CounterSystem,
+    addr: SectorAddr,
+    v: u64,
+) {
+    match compact.as_mut().filter(|c| !c.is_disabled(addr)) {
+        Some(c) if v < u64::from(c.kind().saturation()) => c.restore_value(addr, v as u8),
+        c => {
+            counters.restore_value(addr, v);
+            // A sector recovered past the compact range must read as
+            // saturated so the original path serves it.
+            if let Some(c) = c {
+                let sat = c.kind().saturation();
+                c.restore_value(addr, sat);
+            }
+        }
+    }
+}
+
 /// A wall-clock span into histogram `name`, fetched into `slot` on the
 /// first call. The histogram registers at that first call, as under
 /// [`Telemetry::span`], but later calls skip its `format!`, registry lock
@@ -130,9 +139,8 @@ impl PlutusEngine {
         cfg.validate()
             .map_err(|reason| SecureMemError::InvalidConfig { reason })?;
         Ok(Self {
-            cipher: DataCipher::new(&cfg.mem),
+            plane: DataPlane::new(&cfg.mem),
             counters: CounterSystem::new(&cfg.mem),
-            macs: MacSystem::new(&cfg.mem),
             verifier: cfg
                 .value_verify
                 .then(|| ValueVerifier::new(cfg.value_cache)),
@@ -145,11 +153,6 @@ impl PlutusEngine {
                     cfg.mem.disable_tree,
                 )
             }),
-            tenancy: cfg
-                .mem
-                .tenancy
-                .clone()
-                .map(|t| TenantCrypto::new(cfg.mem.cipher, t)),
             cfg,
             fills: 0,
             writebacks: 0,
@@ -185,7 +188,7 @@ impl PlutusEngine {
 
     /// The MAC subsystem (attack hooks and stats).
     pub fn macs_mut(&mut self) -> &mut MacSystem {
-        &mut self.macs
+        self.plane.macs_mut()
     }
 
     /// The compact layer, if enabled.
@@ -198,120 +201,16 @@ impl PlutusEngine {
         self.verifier.as_ref()
     }
 
-    /// The effective cipher for `sector`: the single shared cipher, or —
-    /// under tenancy — the owning tenant's current generation (old
-    /// generation past a live rotation-walk frontier).
-    fn cipher_for(&self, sector: SectorAddr) -> &DataCipher {
-        plane::cipher_for(&self.cipher, self.tenancy.as_ref(), sector)
-    }
-
-    fn read_plaintext(&self, sector: SectorAddr, ctr: u64, mem: &BackingMemory) -> [u8; 32] {
-        self.read_plaintext_with(self.cipher_for(sector), sector, ctr, mem)
-    }
-
-    fn read_plaintext_with(
-        &self,
-        cipher: &DataCipher,
-        sector: SectorAddr,
-        ctr: u64,
-        mem: &BackingMemory,
-    ) -> [u8; 32] {
-        match mem.read(sector) {
-            Some(mut ct) => {
-                cipher.decrypt(&mut ct, sector, ctr);
-                ct
-            }
-            None => [0; 32],
+    /// Counts one compact-counter fallback onto the original split
+    /// counters (saturated or disabled sector).
+    fn note_compact_fallback(&mut self, addr: SectorAddr) {
+        self.compact_fallbacks += 1;
+        self.tel_compact_fallbacks.inc();
+        if self.tel.enabled() {
+            self.tel.event(Event::CompactFallback);
         }
-    }
-
-    /// Advances a live key-rotation walk by a bounded number of sectors
-    /// (see the PSSM engine for the walk invariant; mechanics are
-    /// identical, except the live counter may come from the compact
-    /// layer).
-    fn rotation_step(
-        &mut self,
-        mem: &mut BackingMemory,
-        reads: &mut Vec<DramReq>,
-        writes: &mut Vec<DramReq>,
-    ) {
-        let Some(tc) = &self.tenancy else {
-            return;
-        };
-        let Some((frontier, end, step)) = tc.walk_window() else {
-            return;
-        };
-        let step = step as usize;
-        // The work list is the ownership registry, not the MAC tag
-        // table: MAC-skip sectors carry ciphertext but no stored tag.
-        let addrs = tc.owned_in_range(frontier, end, step);
-        let done = addrs.len() < step;
-        // One batched decrypt + encrypt + MAC pass over the whole step
-        // instead of sector-at-a-time (the counter may come from the
-        // compact layer, hence the live_counter pre-pass).
-        let items: Vec<(SectorAddr, u64)> = addrs
-            .iter()
-            .map(|&addr| (addr, self.live_counter(addr)))
-            .collect();
-        let last = items.last().map_or(frontier, |&(addr, _)| addr.raw());
-        let Some(tc) = &mut self.tenancy else {
-            return;
-        };
-        for (&(addr, _), changed) in items.iter().zip(tc.rotate_sectors(&items, mem)) {
-            if changed {
-                reads.push(DramReq::new(addr.raw(), 32, TrafficClass::Data));
-                writes.push(DramReq::new(addr.raw(), 32, TrafficClass::Data));
-            }
-        }
-        if done {
-            tc.finish_walk();
-        } else {
-            tc.advance_frontier(last + 32);
-        }
-    }
-
-    /// Drains a little of `addr`'s tenant's deferred storm traffic into
-    /// the current plan.
-    fn drain_storm(
-        &mut self,
-        addr: SectorAddr,
-        reads: &mut Vec<DramReq>,
-        writes: &mut Vec<DramReq>,
-    ) {
-        if let Some(tc) = &mut self.tenancy {
-            let t = tc.tenant_of(addr);
-            tc.storm_drain_into(t, reads, writes);
-        }
-    }
-
-    /// Books an overflow re-encryption's traffic: inline within the
-    /// tenant's storm burst budget, deferred to the offender's own later
-    /// accesses past it.
-    fn book_overflow(
-        &mut self,
-        addr: SectorAddr,
-        old_values: &[u64],
-        new_value: u64,
-        mem: &mut BackingMemory,
-        plan: &mut WritePlan,
-    ) {
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        self.reencrypt_group(addr, old_values, new_value, mem, &mut reads, &mut writes);
-        let admit = match &mut self.tenancy {
-            Some(tc) => {
-                let t = tc.tenant_of(addr);
-                tc.storm_admit(t)
-            }
-            None => true,
-        };
-        if admit {
-            plan.async_reads.extend(reads);
-            plan.writes.extend(writes);
-        } else if let Some(tc) = &mut self.tenancy {
-            let t = tc.tenant_of(addr);
-            tc.storm_defer(t, reads, writes);
-        }
+        self.tracer
+            .mark(self.cur_trace, "compact_fallback", addr.raw(), 0);
     }
 
     /// Resolves the read counter: compact layer first, original on
@@ -320,9 +219,9 @@ impl PlutusEngine {
     fn resolve_read_counter(
         &mut self,
         addr: SectorAddr,
-        chain: &mut Vec<gpu_sim::DramReq>,
-        async_reads: &mut Vec<gpu_sim::DramReq>,
-        writes: &mut Vec<gpu_sim::DramReq>,
+        chain: &mut Vec<DramReq>,
+        async_reads: &mut Vec<DramReq>,
+        writes: &mut Vec<DramReq>,
         violation: &mut Option<Violation>,
     ) -> (u64, bool) {
         if let Some(compact) = self.compact.as_mut() {
@@ -337,13 +236,7 @@ impl PlutusEngine {
             }
             // Saturated or disabled: the original counter path follows,
             // sequentially (the paper's two-access cost).
-            self.compact_fallbacks += 1;
-            self.tel_compact_fallbacks.inc();
-            if self.tel.enabled() {
-                self.tel.event(Event::CompactFallback);
-            }
-            self.tracer
-                .mark(self.cur_trace, "compact_fallback", addr.raw(), 0);
+            self.note_compact_fallback(addr);
         }
         let oa = self.counters.read(addr);
         let hit = oa.hit;
@@ -353,9 +246,9 @@ impl PlutusEngine {
 
     fn merge_counter(
         oa: CounterAccess,
-        chain: &mut Vec<gpu_sim::DramReq>,
-        async_reads: &mut Vec<gpu_sim::DramReq>,
-        writes: &mut Vec<gpu_sim::DramReq>,
+        chain: &mut Vec<DramReq>,
+        async_reads: &mut Vec<DramReq>,
+        writes: &mut Vec<DramReq>,
         violation: &mut Option<Violation>,
     ) {
         chain.extend(oa.chain);
@@ -364,63 +257,6 @@ impl PlutusEngine {
         if violation.is_none() {
             *violation = oa.violation;
         }
-    }
-
-    /// Re-encrypts an overflowed counter group (same mechanics as the PSSM
-    /// baseline). Traffic is emitted into `reads`/`writes` so the caller
-    /// can book it inline or route it through the storm gate.
-    fn reencrypt_group(
-        &mut self,
-        written: SectorAddr,
-        old_values: &[u64],
-        new_value: u64,
-        mem: &mut BackingMemory,
-        reads: &mut Vec<DramReq>,
-        writes: &mut Vec<DramReq>,
-    ) {
-        self.tracer.mark(
-            self.cur_trace,
-            "counter_overflow_spill",
-            written.raw(),
-            old_values.len() as u64,
-        );
-        let group = self.counters.layout().group_of(written);
-        let first = self.counters.layout().group_first_sector(group);
-        // Gather the group's affected resident sectors, then run the
-        // old-counter decrypts, new-counter encrypts, and MAC refreshes
-        // as three batches instead of sector-at-a-time.
-        let mut data: Vec<[u8; 32]> = Vec::with_capacity(old_values.len());
-        let mut old_at: Vec<(SectorAddr, u64)> = Vec::with_capacity(old_values.len());
-        for (i, old) in old_values.iter().enumerate() {
-            let sector = SectorAddr::new(first.raw() + (i as u64) * 32);
-            if sector == written {
-                continue;
-            }
-            // Sectors still in the compact regime are encrypted under
-            // their compact counter; the original-counter reset does not
-            // affect them.
-            if let Some(compact) = &self.compact {
-                if !compact.uses_original(sector) {
-                    continue;
-                }
-            }
-            let Some(ct) = mem.read(sector) else {
-                continue;
-            };
-            data.push(ct);
-            old_at.push((sector, *old));
-        }
-        let tenancy = self.tenancy.as_ref();
-        plane::decrypt_many_effective(&self.cipher, tenancy, &mut data, &old_at);
-        let plaintexts = data.clone();
-        let new_at: Vec<(SectorAddr, u64)> = old_at.iter().map(|&(s, _)| (s, new_value)).collect();
-        plane::encrypt_many_effective(&self.cipher, tenancy, &mut data, &new_at);
-        for (ct, &(sector, _)) in data.iter().zip(new_at.iter()) {
-            mem.write(sector, *ct);
-            reads.push(DramReq::new(sector.raw(), 32, TrafficClass::Data));
-            writes.push(DramReq::new(sector.raw(), 32, TrafficClass::Data));
-        }
-        self.macs.update_silently_many(&plaintexts, &new_at);
     }
 
     /// True while the value-verification fast path is in use (configured
@@ -441,274 +277,11 @@ impl PlutusEngine {
     /// Whether the degradation ladder has frozen the fast path for reads
     /// of `addr`: per-tenant under tenancy, global otherwise.
     fn verifier_frozen_for(&self, addr: SectorAddr) -> bool {
-        if self.verifier_frozen {
-            return true;
-        }
-        match &self.tenancy {
-            Some(tc) => self.frozen_tenants.contains(&tc.tenant_of(addr)),
-            None => false,
-        }
-    }
-
-    /// The counter a read of `addr` would decrypt with right now, without
-    /// generating traffic: the compact value while that layer serves the
-    /// sector, the original split value otherwise.
-    fn live_counter(&self, addr: SectorAddr) -> u64 {
-        if let Some(c) = &self.compact {
-            if let Some(v) = c.peek_live(addr) {
-                return v;
-            }
-        }
-        self.counters.peek_value(addr)
-    }
-
-    /// Checks one counter candidate during crash recovery: the persistent
-    /// MAC first (under the effective cipher, then — mid-rotation — the
-    /// pending new generation), then the pinned-value screen the same
-    /// way.
-    fn candidate_ok(&self, addr: SectorAddr, v: u64, mem: &BackingMemory) -> Option<Candidate> {
-        let pending = self
-            .tenancy
-            .as_ref()
-            .and_then(|tc| tc.pending_new_gen(addr));
-        let pt = self.read_plaintext(addr, v, mem);
-        if self.macs.verify(addr, &pt, v) {
-            return Some(Candidate {
-                by_mac: true,
-                new_gen: false,
-            });
-        }
-        if let Some(cipher) = pending {
-            let npt = self.read_plaintext_with(cipher, addr, v, mem);
-            if self.macs.verify(addr, &npt, v) {
-                return Some(Candidate {
-                    by_mac: true,
-                    new_gen: true,
-                });
-            }
-        }
-        if self
-            .verifier
-            .as_ref()
-            .is_some_and(|ver| ver.screen_pinned(&pt))
-        {
-            return Some(Candidate {
-                by_mac: false,
-                new_gen: false,
-            });
-        }
-        if let Some(cipher) = pending {
-            let npt = self.read_plaintext_with(cipher, addr, v, mem);
-            if self
-                .verifier
-                .as_ref()
-                .is_some_and(|ver| ver.screen_pinned(&npt))
-            {
-                return Some(Candidate {
-                    by_mac: false,
-                    new_gen: true,
-                });
-            }
-        }
-        None
-    }
-
-    /// Scans candidate counters in order, returning the first that
-    /// verifies. Semantically identical to calling
-    /// [`Self::candidate_ok`] per candidate, but the decrypts and MAC
-    /// probes run as batched cipher calls over chunks of the scan: the
-    /// per-candidate check order (effective-generation MAC, pending MAC,
-    /// effective value screen, pending value screen) is preserved by
-    /// walking each chunk's verdicts in candidate order.
-    fn scan_candidates(
-        &self,
-        addr: SectorAddr,
-        vs: &[u64],
-        mem: &BackingMemory,
-    ) -> Option<(u64, Candidate)> {
-        let pending = self
-            .tenancy
-            .as_ref()
-            .and_then(|tc| tc.pending_new_gen(addr));
-        let effective = self.cipher_for(addr);
-        let ct = mem.read(addr);
-        const SCAN_CHUNK: usize = 16;
-        for chunk in vs.chunks(SCAN_CHUNK) {
-            let at: Vec<(SectorAddr, u64)> = chunk.iter().map(|&v| (addr, v)).collect();
-            let eff_pts = Self::decrypt_candidates(effective, ct, &at);
-            let eff_mac = self.macs.verify_many(&eff_pts, &at);
-            let (pend_pts, pend_mac) = match pending {
-                Some(cipher) => {
-                    let pts = Self::decrypt_candidates(cipher, ct, &at);
-                    let ok = self.macs.verify_many(&pts, &at);
-                    (Some(pts), Some(ok))
-                }
-                None => (None, None),
-            };
-            for (i, &v) in chunk.iter().enumerate() {
-                if eff_mac[i] {
-                    return Some((
-                        v,
-                        Candidate {
-                            by_mac: true,
-                            new_gen: false,
-                        },
-                    ));
-                }
-                if pend_mac.as_ref().is_some_and(|m| m[i]) {
-                    return Some((
-                        v,
-                        Candidate {
-                            by_mac: true,
-                            new_gen: true,
-                        },
-                    ));
-                }
-                if self
-                    .verifier
-                    .as_ref()
-                    .is_some_and(|ver| ver.screen_pinned(&eff_pts[i]))
-                {
-                    return Some((
-                        v,
-                        Candidate {
-                            by_mac: false,
-                            new_gen: false,
-                        },
-                    ));
-                }
-                if let Some(pts) = &pend_pts {
-                    if self
-                        .verifier
-                        .as_ref()
-                        .is_some_and(|ver| ver.screen_pinned(&pts[i]))
-                    {
-                        return Some((
-                            v,
-                            Candidate {
-                                by_mac: false,
-                                new_gen: true,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Decrypts the (single) resident ciphertext under every candidate
-    /// counter in one batched call; a non-resident sector reads as zeros
-    /// under any counter, matching [`Self::read_plaintext_with`].
-    fn decrypt_candidates(
-        cipher: &DataCipher,
-        ct: Option<[u8; 32]>,
-        at: &[(SectorAddr, u64)],
-    ) -> Vec<[u8; 32]> {
-        let mut pts = vec![ct.unwrap_or([0; 32]); at.len()];
-        if ct.is_some() {
-            cipher.decrypt_many(&mut pts, at);
-        }
-        pts
-    }
-
-    /// Repairs the MAC of a value-vouched sector in place, decrypting
-    /// under the generation the candidate verified with.
-    fn repair_mac(&mut self, addr: SectorAddr, v: u64, new_gen: bool, mem: &BackingMemory) {
-        let pt = if new_gen {
-            match self
-                .tenancy
-                .as_ref()
-                .and_then(|tc| tc.pending_new_gen(addr))
-            {
-                Some(cipher) => self.read_plaintext_with(cipher, addr, v, mem),
-                None => return,
-            }
-        } else {
-            self.read_plaintext(addr, v, mem)
-        };
-        self.macs.update_silently(addr, &pt, v);
-    }
-
-    /// Accepts candidate `v` for `addr`: places the value in the layer that
-    /// serves the sector and repairs the MAC if it was vouched by value.
-    fn accept_candidate(&mut self, addr: SectorAddr, v: u64, cand: Candidate, mem: &BackingMemory) {
-        let compact_live = match &self.compact {
-            Some(c) if !c.is_disabled(addr) => v < u64::from(c.kind().saturation()),
-            _ => false,
-        };
-        if compact_live {
-            self.compact
-                .as_mut()
-                .expect("checked above")
-                .restore_value(addr, v as u8);
-        } else {
-            self.counters.restore_value(addr, v);
-            // A sector recovered past the compact range must read as
-            // saturated so the original path serves it.
-            if let Some(c) = self.compact.as_mut() {
-                if !c.is_disabled(addr) {
-                    let sat = c.kind().saturation();
-                    c.restore_value(addr, sat);
-                }
-            }
-        }
-        if !cand.by_mac {
-            self.repair_mac(addr, v, cand.new_gen, mem);
-        }
-    }
-
-    /// Phoenix-style recovery of one sector: current value first, then the
-    /// compact range, then the split range from the recovery floor.
-    /// Returns the kind and whether the sector verified under the pending
-    /// new generation.
-    fn recover_sector(
-        &mut self,
-        addr: SectorAddr,
-        mem: &BackingMemory,
-    ) -> Option<(RecoverKind, bool)> {
-        let live = self.live_counter(addr);
-        if let Some(cand) = self.candidate_ok(addr, live, mem) {
-            if !cand.by_mac {
-                self.repair_mac(addr, live, cand.new_gen, mem);
-                return Some((RecoverKind::Value, cand.new_gen));
-            }
-            return Some((RecoverKind::Consistent, cand.new_gen));
-        }
-        if let Some(c) = &self.compact {
-            if !c.is_disabled(addr) {
-                let vs: Vec<u64> = (0..u64::from(c.kind().saturation()))
-                    .filter(|&v| v != live)
-                    .collect();
-                if let Some((v, cand)) = self.scan_candidates(addr, &vs, mem) {
-                    self.accept_candidate(addr, v, cand, mem);
-                    return Some((
-                        if cand.by_mac {
-                            RecoverKind::Mac
-                        } else {
-                            RecoverKind::Value
-                        },
-                        cand.new_gen,
-                    ));
-                }
-            }
-        }
-        let base = self.counters.recovery_floor(addr);
-        let vs: Vec<u64> = (base..base.saturating_add(RECOVERY_PROBE_BOUND))
-            .filter(|&v| v != live)
-            .collect();
-        if let Some((v, cand)) = self.scan_candidates(addr, &vs, mem) {
-            self.accept_candidate(addr, v, cand, mem);
-            return Some((
-                if cand.by_mac {
-                    RecoverKind::Mac
-                } else {
-                    RecoverKind::Value
-                },
-                cand.new_gen,
-            ));
-        }
-        None
+        self.verifier_frozen
+            || self
+                .plane
+                .tenant_of(addr)
+                .is_some_and(|t| self.frozen_tenants.contains(&t))
     }
 }
 
@@ -723,14 +296,7 @@ impl SecurityEngine for PlutusEngine {
 
     fn install_many(&mut self, sectors: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
         // Counter 0 in both the compact and original layers.
-        plane::install_many(
-            &self.cipher,
-            &mut self.tenancy,
-            &mut self.macs,
-            sectors,
-            |_| 0,
-            mem,
-        );
+        self.plane.install_many(sectors, |_| 0, mem);
     }
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {
@@ -749,18 +315,14 @@ impl SecurityEngine for PlutusEngine {
             plan.pre_chains.push(chain);
         }
 
-        let plaintext = self.read_plaintext(addr, ctr, mem);
+        let plaintext = self.plane.read_plaintext(addr, ctr, mem);
         plan.plaintext = plaintext;
 
         let lat = self.cfg.mem.latencies;
         // Decrypt: XTS serializes after data; CME (compact-only ablations)
         // overlaps unless the counter had to be fetched.
-        plan.crypto_latency = if self.cipher.overlaps_fetch() {
-            if ctr_hit {
-                0
-            } else {
-                lat.aes_latency
-            }
+        plan.crypto_latency = if self.plane.overlaps_fetch() && ctr_hit {
+            0
         } else {
             lat.aes_latency
         };
@@ -792,24 +354,24 @@ impl SecurityEngine for PlutusEngine {
                 // mismatch here means the value screen rejected the sector
                 // and the deferred MAC confirmed it (Fig. 11 read flow) —
                 // attributed to the value-verification layer.
-                let ma = self.macs.read(addr);
+                let ma = self.plane.macs_mut().read(addr);
                 plan.post_chain = ma.chain;
                 plan.writes.extend(ma.writes);
                 plan.post_latency = lat.mac_latency;
-                if !self.macs.verify(addr, &plaintext, ctr) && plan.violation.is_none() {
+                if !self.plane.macs().verify(addr, &plaintext, ctr) && plan.violation.is_none() {
                     plan.violation = Some(Violation::ValueMismatch { addr });
                 }
             }
             None => {
                 // Value verification disabled or frozen: conventional
                 // parallel MAC.
-                let ma = self.macs.read(addr);
+                let ma = self.plane.macs_mut().read(addr);
                 if !ma.chain.is_empty() {
                     plan.pre_chains.push(ma.chain);
                 }
                 plan.writes.extend(ma.writes);
                 plan.crypto_latency += lat.mac_latency;
-                if !self.macs.verify(addr, &plaintext, ctr) && plan.violation.is_none() {
+                if !self.plane.macs().verify(addr, &plaintext, ctr) && plan.violation.is_none() {
                     // A sector whose MAC update was legitimately skipped
                     // before the freeze has no fresh MAC; the pinned-value
                     // screen (the guarantee skip-MAC relied on) still
@@ -821,7 +383,7 @@ impl SecurityEngine for PlutusEngine {
                             .as_ref()
                             .is_some_and(|v| v.screen_pinned(&plaintext));
                     if vouched {
-                        self.macs.update_silently(addr, &plaintext, ctr);
+                        self.plane.macs_mut().update_silently(addr, &plaintext, ctr);
                     } else {
                         plan.violation = Some(Violation::MacMismatch { addr });
                     }
@@ -829,8 +391,14 @@ impl SecurityEngine for PlutusEngine {
             }
         }
         // Background tenancy work rides on the fill's plan.
-        self.rotation_step(mem, &mut plan.async_reads, &mut plan.writes);
-        self.drain_storm(addr, &mut plan.async_reads, &mut plan.writes);
+        let (compact, counters) = (&self.compact, &self.counters);
+        self.plane.background(
+            addr,
+            |a| live_counter(compact, counters, a),
+            mem,
+            &mut plan.async_reads,
+            &mut plan.writes,
+        );
         plan
     }
 
@@ -848,109 +416,86 @@ impl SecurityEngine for PlutusEngine {
         );
         let mut plan = WritePlan::default();
         let mut chain = Vec::new();
-        if let Some(tc) = &mut self.tenancy {
-            let t = tc.tenant_of(addr);
-            tc.storm_tick(t);
-        }
+        self.plane.storm_tick(addr);
 
-        // Advance the counter through the compact layer when present.
-        let ctr = if let Some(compact) = self.compact.as_mut() {
-            let ca = compact.increment(addr);
-            chain.extend(ca.chain);
-            plan.writes.extend(ca.writes);
-            if plan.violation.is_none() {
-                plan.violation = ca.violation;
-            }
-            let propagate = ca.propagate;
-            let block_disable = ca.block_disable.clone();
-            let value = match ca.counter {
-                Some(v) => v,
-                None => {
-                    let oa = if let Some(sat) = propagate {
-                        // Saturating write: copy the compact value into the
-                        // original split counter.
-                        self.counters.raise_to(addr, sat)
-                    } else {
-                        self.compact_fallbacks += 1;
-                        self.tel_compact_fallbacks.inc();
-                        if self.tel.enabled() {
-                            self.tel.event(Event::CompactFallback);
-                        }
-                        self.tracer
-                            .mark(self.cur_trace, "compact_fallback", addr.raw(), 0);
-                        self.counters.increment(addr)
-                    };
-                    let value = oa.value;
-                    if let Some(old) = oa.overflow_old_values.clone() {
-                        Self::merge_counter(
-                            oa,
-                            &mut chain,
-                            &mut plan.async_reads,
-                            &mut plan.writes,
-                            &mut plan.violation,
-                        );
-                        self.book_overflow(addr, &old, value, mem, &mut plan);
-                    } else {
-                        Self::merge_counter(
-                            oa,
-                            &mut chain,
-                            &mut plan.async_reads,
-                            &mut plan.writes,
-                            &mut plan.violation,
-                        );
-                    }
-                    value
+        // Advance the counter through the compact layer when present; the
+        // original split counter advances when that layer is absent, or
+        // propagates (saturating write) or falls back for this sector.
+        let (compact_ctr, propagate, block_disable) = match self.compact.as_mut() {
+            Some(compact) => {
+                let ca = compact.increment(addr);
+                chain.extend(ca.chain);
+                plan.writes.extend(ca.writes);
+                if plan.violation.is_none() {
+                    plan.violation = ca.violation;
                 }
-            };
-            // Adaptive block disable: copy every unsaturated compact value
-            // into the original counters (no re-encryption needed).
-            if let Some(copies) = block_disable {
-                for (s, v) in copies {
-                    let oa = self.counters.raise_to(s, v);
-                    Self::merge_counter(
-                        oa,
-                        &mut chain,
+                if ca.counter.is_none() && ca.propagate.is_none() {
+                    self.note_compact_fallback(addr);
+                }
+                (ca.counter, ca.propagate, ca.block_disable)
+            }
+            None => (None, None, None),
+        };
+        let ctr = match compact_ctr {
+            Some(v) => v,
+            None => {
+                let mut oa = match propagate {
+                    // Saturating write: copy the compact value into the
+                    // original split counter.
+                    Some(sat) => self.counters.raise_to(addr, sat),
+                    None => self.counters.increment(addr),
+                };
+                let value = oa.value;
+                let overflow = oa.overflow_old_values.take();
+                Self::merge_counter(
+                    oa,
+                    &mut chain,
+                    &mut plan.async_reads,
+                    &mut plan.writes,
+                    &mut plan.violation,
+                );
+                if let Some(old_values) = overflow {
+                    self.tracer.mark(
+                        self.cur_trace,
+                        "counter_overflow_spill",
+                        addr.raw(),
+                        old_values.len() as u64,
+                    );
+                    // Sectors still in the compact regime are encrypted
+                    // under their compact counter; the original-counter
+                    // reset does not affect them.
+                    let compact = &self.compact;
+                    self.plane.reencrypt_overflow(
+                        self.counters.layout(),
+                        addr,
+                        &old_values,
+                        value,
+                        |s| compact.as_ref().is_some_and(|c| !c.uses_original(s)),
+                        mem,
                         &mut plan.async_reads,
                         &mut plan.writes,
-                        &mut plan.violation,
                     );
                 }
+                value
             }
-            value
-        } else {
-            let oa = self.counters.increment(addr);
-            let value = oa.value;
-            if let Some(old) = oa.overflow_old_values.clone() {
-                Self::merge_counter(
-                    oa,
-                    &mut chain,
-                    &mut plan.async_reads,
-                    &mut plan.writes,
-                    &mut plan.violation,
-                );
-                self.book_overflow(addr, &old, value, mem, &mut plan);
-            } else {
-                Self::merge_counter(
-                    oa,
-                    &mut chain,
-                    &mut plan.async_reads,
-                    &mut plan.writes,
-                    &mut plan.violation,
-                );
-            }
-            value
         };
+        // Adaptive block disable: copy every unsaturated compact value
+        // into the original counters (no re-encryption needed).
+        for (s, v) in block_disable.into_iter().flatten() {
+            let oa = self.counters.raise_to(s, v);
+            Self::merge_counter(
+                oa,
+                &mut chain,
+                &mut plan.async_reads,
+                &mut plan.writes,
+                &mut plan.violation,
+            );
+        }
         if !chain.is_empty() {
             plan.pre_chains.push(chain);
         }
 
-        // Encrypt and store.
-        let mut ct = *plaintext;
-        self.cipher_for(addr).encrypt(&mut ct, addr, ctr);
-        mem.write(addr, ct);
-        if let Some(tc) = &mut self.tenancy {
-            tc.note_owned(addr);
-        }
+        self.plane.write_data(addr, plaintext, ctr, mem);
 
         // MAC update, unless the pinned value screen guarantees the next
         // read verifies by value.
@@ -975,18 +520,24 @@ impl SecurityEngine for PlutusEngine {
         if skip {
             plan.crypto_latency = lat.aes_latency;
         } else {
-            let ma = self.macs.write(addr, plaintext, ctr);
+            let ma = self.plane.macs_mut().write(addr, plaintext, ctr);
             plan.writes.extend(ma.writes);
             plan.crypto_latency = lat.aes_latency + lat.mac_latency;
         }
-        self.rotation_step(mem, &mut plan.async_reads, &mut plan.writes);
-        self.drain_storm(addr, &mut plan.async_reads, &mut plan.writes);
+        let (compact, counters) = (&self.compact, &self.counters);
+        self.plane.background(
+            addr,
+            |a| live_counter(compact, counters, a),
+            mem,
+            &mut plan.async_reads,
+            &mut plan.writes,
+        );
         plan
     }
 
     fn attach_telemetry(&mut self, tel: &Telemetry) {
         self.counters.attach_telemetry(tel);
-        self.macs.attach_telemetry(tel);
+        self.plane.macs_mut().attach_telemetry(tel);
         if let Some(v) = self.verifier.as_mut() {
             v.attach_telemetry(tel);
         }
@@ -1008,7 +559,7 @@ impl SecurityEngine for PlutusEngine {
 
     fn extra_stats(&self) -> Vec<(String, u64)> {
         let (ch, cm, bf, bh) = self.counters.stats();
-        let (mh, mm) = self.macs.stats();
+        let (mh, mm) = self.plane.macs().stats();
         let mut out = vec![
             ("fills".into(), self.fills),
             ("writebacks".into(), self.writebacks),
@@ -1047,27 +598,23 @@ impl SecurityEngine for PlutusEngine {
             u64::from(self.verifier_frozen),
         ));
         out.push(("degraded_blocks_frozen".into(), self.blocks_frozen));
-        if let Some(tc) = &self.tenancy {
-            out.extend(tc.extra_stats());
-            for (&t, &n) in &self.tenant_fill_failures {
-                out.push((format!("ladder_fill_failures_t{t}"), n));
-            }
-            for &t in &self.frozen_tenants {
-                out.push((format!("ladder_frozen_t{t}"), 1));
-            }
+        // The ladder maps fill only under tenancy.
+        out.extend(self.plane.tenancy_stats());
+        for (&t, &n) in &self.tenant_fill_failures {
+            out.push((format!("ladder_fill_failures_t{t}"), n));
+        }
+        for &t in &self.frozen_tenants {
+            out.push((format!("ladder_frozen_t{t}"), 1));
         }
         out
     }
 
     fn start_key_rotation(&mut self, tenant: u32) -> bool {
-        match &mut self.tenancy {
-            Some(tc) => tc.start_rotation(tenant),
-            None => false,
-        }
+        self.plane.start_key_rotation(tenant)
     }
 
     fn rotation_active(&self) -> bool {
-        self.tenancy.as_ref().is_some_and(|tc| tc.rotation_active())
+        self.plane.rotation_active()
     }
 
     fn inject_fault(&mut self, addr: SectorAddr, fault: MetaFault) -> bool {
@@ -1081,7 +628,7 @@ impl SecurityEngine for PlutusEngine {
                 original_live && self.counters.tamper_minor(addr, value)
             }
             MetaFault::TamperMac => {
-                self.macs.tamper(addr);
+                self.plane.macs_mut().tamper(addr);
                 true
             }
             MetaFault::TamperBmtNode => {
@@ -1099,10 +646,9 @@ impl SecurityEngine for PlutusEngine {
 
     fn note_fill_failure(&mut self, addr: SectorAddr, _recovered: bool) {
         self.fill_failures += 1;
-        if let Some(tc) = &self.tenancy {
+        if let Some(tenant) = self.plane.tenant_of(addr) {
             // Tenancy: the ladder is scoped to the failing address's
             // tenant — an attacked tenant's freeze never widens.
-            let tenant = tc.tenant_of(addr);
             let n = self.tenant_fill_failures.entry(tenant).or_insert(0);
             *n += 1;
             if *n >= VERIFIER_FREEZE_FAILURES
@@ -1171,12 +717,10 @@ impl SecurityEngine for PlutusEngine {
         };
         // MACs are write-through persistent; the pinned value set is tiny,
         // monotone, and flushed on promotion — both survive the crash.
-        let persistent_macs = self.macs.clone();
-        let persistent_pinned = self.verifier.as_ref().map(|v| v.pinned_keys());
-        *self = ck.clone();
-        self.macs = persistent_macs;
-        if let (Some(v), Some(keys)) = (self.verifier.as_mut(), persistent_pinned) {
-            v.graft_pinned(&keys);
+        let crashed = std::mem::replace(self, ck.clone());
+        self.plane.keep_macs(crashed.plane);
+        if let (Some(v), Some(old)) = (self.verifier.as_mut(), &crashed.verifier) {
+            v.graft_pinned(&old.pinned_keys());
         }
         true
     }
@@ -1186,40 +730,41 @@ impl SecurityEngine for PlutusEngine {
         mem: &BackingMemory,
         sectors: &[SectorAddr],
     ) -> Result<RecoveryReport, RecoveryError> {
-        let mut report = RecoveryReport::default();
-        // Highest sector proven to already carry a mid-rotation new
-        // generation (the walk is address-ordered, so everything up to it
-        // is done; see the PSSM engine).
-        let mut max_new_gen: Option<u64> = None;
-        for &addr in sectors {
-            match self.recover_sector(addr, mem) {
-                Some((kind, new_gen)) => {
-                    if new_gen {
-                        max_new_gen = Some(max_new_gen.map_or(addr.raw(), |m| m.max(addr.raw())));
-                    }
-                    match kind {
-                        RecoverKind::Consistent => report.already_consistent += 1,
-                        RecoverKind::Mac => report.recovered_by_mac += 1,
-                        RecoverKind::Value => report.recovered_by_value += 1,
-                    }
-                    // Re-note ownership: the revert may have rolled the
-                    // registry back past sectors that verifiably hold
-                    // our ciphertext; a rotation walk must not skip them.
-                    if let Some(tc) = &mut self.tenancy {
-                        tc.note_owned(addr);
-                    }
+        // Phoenix-style: the live value first, then the compact range, then
+        // the split range from the recovery floor. The pinned-value screen
+        // vouches for sectors whose MAC update was legitimately skipped;
+        // their MAC is repaired in place.
+        let (compact, counters, verifier) = (&mut self.compact, &mut self.counters, &self.verifier);
+        let screen = |pt: &[u8; 32]| verifier.as_ref().is_some_and(|v| v.screen_pinned(pt));
+        Ok(self.plane.recover(sectors, |plane, addr| {
+            let live = live_counter(compact, counters, addr);
+            let compact_range = compact
+                .as_ref()
+                .filter(|c| !c.is_disabled(addr))
+                .map(|c| 0..u64::from(c.kind().saturation()));
+            let floor = counters.recovery_floor(addr);
+            let probes = compact_range
+                .into_iter()
+                .flatten()
+                .chain(floor..floor.saturating_add(RECOVERY_PROBE_BOUND));
+            let settled = plane.settle(addr, mem, live, probes, screen)?;
+            let (value, cand) = match settled {
+                Settled::Live(cand) => (live, cand),
+                Settled::Probed(value, cand) => {
+                    restore_live(compact, counters, addr, value);
+                    (value, cand)
                 }
-                None => report.failed.push(addr.raw()),
+            };
+            if !cand.by_mac {
+                plane.repair_mac(addr, value, cand.new_gen, mem);
             }
-        }
-        if let Some(tc) = &mut self.tenancy {
-            tc.reconcile_frontier(max_new_gen);
-        }
-        Ok(report)
+            Some(settled)
+        }))
     }
 
     fn peek_plaintext(&self, addr: SectorAddr, mem: &BackingMemory) -> Option<[u8; 32]> {
-        Some(self.read_plaintext(addr, self.live_counter(addr), mem))
+        let ctr = live_counter(&self.compact, &self.counters, addr);
+        Some(self.plane.read_plaintext(addr, ctr, mem))
     }
 }
 

@@ -13,7 +13,7 @@
 //! updates propagate upward only when dirty nodes are evicted from the node
 //! cache (the paper's lazy-update scheme).
 
-use crate::config::SecureMemConfig;
+use crate::config::{CounterOrg, SecureMemConfig};
 use crate::counter_store::CounterStore;
 use crate::layout::Layout;
 use gpu_sim::cache::SectoredCache;
@@ -54,6 +54,9 @@ pub struct Bmt {
     cache: SectoredCache,
     cmac: Cmac,
     leaf_hashes: AddrMap<u64>,
+    /// Counter organization of the store the leaves cover: an untouched
+    /// leaf hashes the zero counters of *this* organization.
+    org: CounterOrg,
     disabled: bool,
     node_fetches: u64,
     node_hits: u64,
@@ -82,6 +85,7 @@ impl Bmt {
             cache,
             cmac: Cmac::new(cfg.bmt_key),
             leaf_hashes: AddrMap::default(),
+            org: cfg.counter_org,
             disabled: cfg.disable_tree,
             node_fetches: 0,
             node_hits: 0,
@@ -112,7 +116,7 @@ impl Bmt {
     }
 
     fn zero_leaf_hash(&self, leaf: u64) -> u64 {
-        self.recompute_leaf(leaf, &CounterStore::new())
+        self.recompute_leaf(leaf, &CounterStore::with_org(self.org))
     }
 
     /// Records `leaf`'s authoritative hash after a legitimate counter

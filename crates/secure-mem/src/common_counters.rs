@@ -71,11 +71,6 @@ impl CommonCountersEngine {
             .unwrap()
             .contains(&Self::region_of(addr))
     }
-
-    /// The wrapped PSSM engine.
-    pub fn inner_mut(&mut self) -> &mut PssmEngine {
-        &mut self.inner
-    }
 }
 
 impl SecurityEngine for CommonCountersEngine {

@@ -16,8 +16,9 @@
 //!   Fig. 16 granularity design points and the Fig. 20 no-tree mode).
 //! - [`common_counters::CommonCountersEngine`] — the Common Counters
 //!   comparison point (clean-region counter elision).
-//! - [`plane`] — effective-cipher batching and the initial-image install
-//!   body shared by every secure engine.
+//! - [`plane::DataPlane`] — the protected-data plane every secure engine
+//!   shares: cipher selection, install, overflow re-encryption behind the
+//!   storm gate, the key-rotation walk, and Phoenix crash recovery.
 //!
 //! # Example
 //!
@@ -61,4 +62,4 @@ pub use layout::Layout;
 pub use mac_store::MacStore;
 pub use mac_system::{MacAccess, MacSystem};
 pub use pssm::{PssmEngine, PssmFactory};
-pub use tenant::{RotationWalk, TenancyConfig, TenantCrypto};
+pub use tenant::{TenancyConfig, TenantCrypto};

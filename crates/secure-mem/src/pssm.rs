@@ -7,55 +7,24 @@
 //! [`SecureMemConfig::all_32`]) and the Fig. 20 no-tree mode
 //! (`disable_tree`), since those vary only the configuration.
 
-use crate::cipher::DataCipher;
 use crate::config::SecureMemConfig;
 use crate::counter_system::CounterSystem;
 use crate::error::SecureMemError;
 use crate::mac_system::MacSystem;
-use crate::plane;
-use crate::tenant::TenantCrypto;
+use crate::plane::{DataPlane, Settled, RECOVERY_PROBE_BOUND};
 use gpu_sim::{
-    BackingMemory, DramReq, EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport,
-    SectorAddr, SecurityEngine, TrafficClass, Violation, WritePlan,
+    BackingMemory, EngineFactory, FillPlan, MetaFault, RecoveryError, RecoveryReport, SectorAddr,
+    SecurityEngine, Violation, WritePlan,
 };
-
-/// Upper bound on counter candidates probed per sector during Phoenix-style
-/// crash recovery (128 group overflows past the checkpointed value).
-const RECOVERY_PROBE_BOUND: u64 = 1 << 14;
-
-/// How one sector's counter was settled during crash recovery.
-///
-/// `new_gen` marks sectors that verified under the *new-generation*
-/// cipher of a mid-flight key-rotation walk: the crash reverted the walk
-/// frontier, so such sectors sit past it while memory already holds
-/// new-generation ciphertext.
-enum Probe {
-    /// The checkpointed counter already verifies against the MAC.
-    Consistent {
-        /// Verified under the pending new-generation cipher.
-        new_gen: bool,
-    },
-    /// A higher/rebased candidate verified; carries the proven value.
-    Verified {
-        /// The proven counter value.
-        value: u64,
-        /// Verified under the pending new-generation cipher.
-        new_gen: bool,
-    },
-    /// No candidate within [`RECOVERY_PROBE_BOUND`] verified.
-    Failed,
-}
 
 /// The PSSM secure-memory engine (one per partition).
 #[derive(Debug, Clone)]
 pub struct PssmEngine {
     cfg: SecureMemConfig,
-    cipher: DataCipher,
+    /// Cipher, MACs, and (multi-tenant operation only) the per-tenant key
+    /// table, rotation walk, and storm gate.
+    plane: DataPlane,
     counters: CounterSystem,
-    macs: MacSystem,
-    /// Per-tenant key table, rotation walk, and storm gate (multi-tenant
-    /// operation only).
-    tenancy: Option<TenantCrypto>,
     fills: u64,
     writebacks: u64,
     overflows: u64,
@@ -77,13 +46,8 @@ impl PssmEngine {
         cfg.validate()
             .map_err(|reason| SecureMemError::InvalidConfig { reason })?;
         Ok(Self {
-            cipher: DataCipher::new(&cfg),
+            plane: DataPlane::new(&cfg),
             counters: CounterSystem::new(&cfg),
-            macs: MacSystem::new(&cfg),
-            tenancy: cfg
-                .tenancy
-                .clone()
-                .map(|t| TenantCrypto::new(cfg.cipher, t)),
             cfg,
             fills: 0,
             writebacks: 0,
@@ -108,7 +72,7 @@ impl PssmEngine {
 
     /// The MAC subsystem.
     pub fn macs_mut(&mut self) -> &mut MacSystem {
-        &mut self.macs
+        self.plane.macs_mut()
     }
 
     /// The configured crypto latencies.
@@ -127,19 +91,19 @@ impl PssmEngine {
     ) -> FillPlan {
         self.fills += 1;
         let mut plan = FillPlan::default();
-        let ma = self.macs.read(addr);
+        let ma = self.plane.macs_mut().read(addr);
         if !ma.chain.is_empty() {
             plan.pre_chains.push(ma.chain);
         }
         plan.writes.extend(ma.writes);
-        let plaintext = self.read_plaintext(addr, ctr, mem);
-        if !self.macs.verify(addr, &plaintext, ctr) {
+        let plaintext = self.plane.read_plaintext(addr, ctr, mem);
+        if !self.plane.macs().verify(addr, &plaintext, ctr) {
             plan.violation = Some(Violation::MacMismatch { addr });
         }
         plan.plaintext = plaintext;
         let lat = self.cfg.latencies;
         plan.crypto_latency = lat.mac_latency
-            + if self.cipher.overlaps_fetch() {
+            + if self.plane.overlaps_fetch() {
                 0
             } else {
                 lat.aes_latency
@@ -147,236 +111,12 @@ impl PssmEngine {
         plan
     }
 
-    /// The effective cipher for `sector`: the single shared cipher, or —
-    /// under tenancy — the owning tenant's current generation (old
-    /// generation past a live rotation-walk frontier).
-    fn cipher_for(&self, sector: SectorAddr) -> &DataCipher {
-        plane::cipher_for(&self.cipher, self.tenancy.as_ref(), sector)
-    }
-
-    /// Decrypts (functionally) what memory holds for `sector` under
-    /// counter `ctr` and the effective cipher.
-    fn read_plaintext(&self, sector: SectorAddr, ctr: u64, mem: &BackingMemory) -> [u8; 32] {
-        self.read_plaintext_with(self.cipher_for(sector), sector, ctr, mem)
-    }
-
-    /// [`Self::read_plaintext`] under an explicit cipher (recovery probes
-    /// try both generations of a mid-flight rotation).
-    fn read_plaintext_with(
-        &self,
-        cipher: &DataCipher,
-        sector: SectorAddr,
-        ctr: u64,
-        mem: &BackingMemory,
-    ) -> [u8; 32] {
-        match mem.read(sector) {
-            Some(mut ct) => {
-                cipher.decrypt(&mut ct, sector, ctr);
-                ct
-            }
-            None => [0; 32], // zero-initialized device memory
-        }
-    }
-
-    /// Advances a live key-rotation walk by at most
-    /// `rotation_sectors_per_step` sectors, charging each re-encryption
-    /// as a Data-class read + write on the current plan. The frontier
-    /// moves only after the batch, so in-batch decrypts still see the
-    /// old generation.
-    fn rotation_step(
-        &mut self,
-        mem: &mut BackingMemory,
-        reads: &mut Vec<DramReq>,
-        writes: &mut Vec<DramReq>,
-    ) {
-        let Some(tc) = &self.tenancy else {
-            return;
-        };
-        let Some((frontier, end, step)) = tc.walk_window() else {
-            return;
-        };
-        let step = step as usize;
-        // The work list is the ownership registry, not the MAC tag
-        // table: MAC-skip sectors carry ciphertext but no stored tag.
-        let addrs = tc.owned_in_range(frontier, end, step);
-        let done = addrs.len() < step;
-        // One batched rotate call re-encrypts the whole step: the old and
-        // new generations' cipher blocks each run as a single batch.
-        let items: Vec<(SectorAddr, u64)> = addrs
-            .iter()
-            .map(|&a| (a, self.counters.peek_value(a)))
-            .collect();
-        let last = items.last().map_or(frontier, |&(a, _)| a.raw());
-        if let Some(tc) = &mut self.tenancy {
-            for (&(addr, _), changed) in items.iter().zip(tc.rotate_sectors(&items, mem)) {
-                if changed {
-                    reads.push(DramReq::new(addr.raw(), 32, TrafficClass::Data));
-                    writes.push(DramReq::new(addr.raw(), 32, TrafficClass::Data));
-                }
-            }
-        }
-        let Some(tc) = &mut self.tenancy else {
-            return;
-        };
-        if done {
-            tc.finish_walk();
-        } else {
-            tc.advance_frontier(last + 32);
-        }
-    }
-
-    /// Drains a little of `addr`'s tenant's deferred storm traffic into
-    /// the current plan (the offender pays, victims do not).
-    fn drain_storm(
-        &mut self,
-        addr: SectorAddr,
-        reads: &mut Vec<DramReq>,
-        writes: &mut Vec<DramReq>,
-    ) {
-        if let Some(tc) = &mut self.tenancy {
-            let t = tc.tenant_of(addr);
-            tc.storm_drain_into(t, reads, writes);
-        }
-    }
-
-    /// Re-encrypts every resident sector of an overflowed counter group
-    /// under the shared new counter, refreshing MACs. The functional
-    /// re-encryption is unconditional; the DRAM traffic is emitted into
-    /// `reads`/`writes` so the caller can book it inline or route it
-    /// through the storm gate.
-    fn reencrypt_group(
-        &mut self,
-        written: SectorAddr,
-        old_values: &[u64],
-        new_value: u64,
-        mem: &mut BackingMemory,
-        reads: &mut Vec<DramReq>,
-        writes: &mut Vec<DramReq>,
-    ) {
-        self.overflows += 1;
-        let group = self.counters.layout().group_of(written);
-        let first = self.counters.layout().group_first_sector(group);
-        // Gather the group's resident sectors, then run the old-counter
-        // decrypts, new-counter encrypts, and MAC refreshes as three
-        // batches instead of sector-at-a-time.
-        let mut data: Vec<[u8; 32]> = Vec::with_capacity(old_values.len());
-        let mut old_at: Vec<(SectorAddr, u64)> = Vec::with_capacity(old_values.len());
-        for (i, old) in old_values.iter().enumerate() {
-            let sector = SectorAddr::new(first.raw() + (i as u64) * 32);
-            if sector == written {
-                continue; // the triggering sector is re-encrypted by the caller
-            }
-            let Some(ct) = mem.read(sector) else {
-                continue;
-            };
-            data.push(ct);
-            old_at.push((sector, *old));
-        }
-        let tenancy = self.tenancy.as_ref();
-        plane::decrypt_many_effective(&self.cipher, tenancy, &mut data, &old_at);
-        let plaintexts = data.clone();
-        let new_at: Vec<(SectorAddr, u64)> = old_at.iter().map(|&(s, _)| (s, new_value)).collect();
-        plane::encrypt_many_effective(&self.cipher, tenancy, &mut data, &new_at);
-        for (ct, &(sector, _)) in data.iter().zip(new_at.iter()) {
-            mem.write(sector, *ct);
-            reads.push(DramReq::new(sector.raw(), 32, TrafficClass::Data));
-            writes.push(DramReq::new(sector.raw(), 32, TrafficClass::Data));
-        }
-        self.macs.update_silently_many(&plaintexts, &new_at);
-    }
-
     /// Crash-revert core, shared with wrapper engines: adopt the
     /// checkpoint's volatile metadata (counters, BMT, caches) while keeping
-    /// this crashed engine's MAC store — MACs are modeled write-through
-    /// persistent, so they survive the crash and anchor Phoenix recovery.
+    /// this crashed engine's persistent MAC store.
     pub(crate) fn revert_keeping_macs(&mut self, checkpoint: &PssmEngine) {
-        let persistent_macs = self.macs.clone();
-        *self = checkpoint.clone();
-        self.macs = persistent_macs;
-    }
-
-    /// Phoenix-style counter probe for one sector: try the current
-    /// (checkpoint-reverted) value first, then scan upward from the
-    /// recovery floor until a candidate decrypts to plaintext that verifies
-    /// against the persistent MAC.
-    fn probe_counter(&self, addr: SectorAddr, mem: &BackingMemory) -> Probe {
-        // While a rotation walk is mid-flight over `addr`, a second
-        // cipher candidate: the new generation. MAC keys are
-        // generation-stable, so the tag arbitrates which one is right.
-        let pending = self
-            .tenancy
-            .as_ref()
-            .and_then(|tc| tc.pending_new_gen(addr));
-        let cur = self.counters.peek_value(addr);
-        let pt = self.read_plaintext(addr, cur, mem);
-        if self.macs.verify(addr, &pt, cur) {
-            return Probe::Consistent { new_gen: false };
-        }
-        if let Some(cipher) = pending {
-            let pt = self.read_plaintext_with(cipher, addr, cur, mem);
-            if self.macs.verify(addr, &pt, cur) {
-                return Probe::Consistent { new_gen: true };
-            }
-        }
-        // The floor clears the minor: a group overflow since the checkpoint
-        // zeroes every minor, so the true value can sit below `cur` once a
-        // neighbour has already restored the group's shared major.
-        //
-        // Candidates are probed in chunks: each chunk's decrypts and MAC
-        // verifications run as batched cipher calls, while the
-        // first-verifying-candidate semantics (effective generation before
-        // pending, lowest counter first) are preserved by scanning the
-        // chunk's verdicts in order.
-        let effective = self.cipher_for(addr);
-        let ct = mem.read(addr);
-        let base = self.counters.recovery_floor(addr);
-        let end = base.saturating_add(RECOVERY_PROBE_BOUND);
-        const PROBE_CHUNK: u64 = 16;
-        let mut v = base;
-        while v < end {
-            let chunk_end = end.min(v + PROBE_CHUNK);
-            let at: Vec<(SectorAddr, u64)> = (v..chunk_end)
-                .filter(|&x| x != cur)
-                .map(|x| (addr, x))
-                .collect();
-            v = chunk_end;
-            if at.is_empty() {
-                continue;
-            }
-            let eff_ok = self.probe_chunk(effective, ct, &at);
-            let pend_ok = pending.map(|cipher| self.probe_chunk(cipher, ct, &at));
-            for (i, &(_, value)) in at.iter().enumerate() {
-                if eff_ok[i] {
-                    return Probe::Verified {
-                        value,
-                        new_gen: false,
-                    };
-                }
-                if pend_ok.as_ref().is_some_and(|p| p[i]) {
-                    return Probe::Verified {
-                        value,
-                        new_gen: true,
-                    };
-                }
-            }
-        }
-        Probe::Failed
-    }
-
-    /// MAC-verifies one chunk of candidate counters for a single sector:
-    /// the resident ciphertext is decrypted under every candidate in one
-    /// batched call, then all tags verify in a second.
-    fn probe_chunk(
-        &self,
-        cipher: &DataCipher,
-        ct: Option<[u8; 32]>,
-        at: &[(SectorAddr, u64)],
-    ) -> Vec<bool> {
-        let mut pts = vec![ct.unwrap_or([0; 32]); at.len()];
-        if ct.is_some() {
-            cipher.decrypt_many(&mut pts, at);
-        }
-        self.macs.verify_many(&pts, at)
+        let crashed = std::mem::replace(self, checkpoint.clone());
+        self.plane.keep_macs(crashed.plane);
     }
 }
 
@@ -391,14 +131,8 @@ impl SecurityEngine for PssmEngine {
 
     fn install_many(&mut self, sectors: &[(SectorAddr, [u8; 32])], mem: &mut BackingMemory) {
         let counters = &self.counters;
-        plane::install_many(
-            &self.cipher,
-            &mut self.tenancy,
-            &mut self.macs,
-            sectors,
-            |a| counters.peek_value(a),
-            mem,
-        );
+        self.plane
+            .install_many(sectors, |a| counters.peek_value(a), mem);
     }
 
     fn on_fill(&mut self, addr: SectorAddr, mem: &mut BackingMemory) -> FillPlan {
@@ -415,15 +149,15 @@ impl SecurityEngine for PssmEngine {
         plan.violation = ca.violation;
 
         // MAC fetch, in parallel with the counter chain.
-        let ma = self.macs.read(addr);
+        let ma = self.plane.macs_mut().read(addr);
         if !ma.chain.is_empty() {
             plan.pre_chains.push(ma.chain);
         }
         plan.writes.extend(ma.writes);
 
         // Functional decrypt + verify.
-        let plaintext = self.read_plaintext(addr, ca.value, mem);
-        if !self.macs.verify(addr, &plaintext, ca.value) && plan.violation.is_none() {
+        let plaintext = self.plane.read_plaintext(addr, ca.value, mem);
+        if !self.plane.macs().verify(addr, &plaintext, ca.value) && plan.violation.is_none() {
             plan.violation = Some(Violation::MacMismatch { addr });
         }
         plan.plaintext = plaintext;
@@ -433,20 +167,20 @@ impl SecurityEngine for PssmEngine {
         // after the data arrives. MAC verification is always charged.
         let lat = self.cfg.latencies;
         plan.crypto_latency = lat.mac_latency
-            + if self.cipher.overlaps_fetch() {
-                if ca.hit {
-                    0
-                } else {
-                    lat.aes_latency
-                }
+            + if self.plane.overlaps_fetch() && ca.hit {
+                0
             } else {
                 lat.aes_latency
             };
 
-        // Background tenancy work rides on the fill's plan: one rotation
-        // step, plus a drain of this tenant's deferred storm backlog.
-        self.rotation_step(mem, &mut plan.async_reads, &mut plan.writes);
-        self.drain_storm(addr, &mut plan.async_reads, &mut plan.writes);
+        let counters = &self.counters;
+        self.plane.background(
+            addr,
+            |a| counters.peek_value(a),
+            mem,
+            &mut plan.async_reads,
+            &mut plan.writes,
+        );
         plan
     }
 
@@ -458,10 +192,7 @@ impl SecurityEngine for PssmEngine {
     ) -> WritePlan {
         self.writebacks += 1;
         let mut plan = WritePlan::default();
-        if let Some(tc) = &mut self.tenancy {
-            let t = tc.tenant_of(addr);
-            tc.storm_tick(t);
-        }
+        self.plane.storm_tick(addr);
 
         let ca = self.counters.increment(addr);
         if !ca.chain.is_empty() {
@@ -472,50 +203,39 @@ impl SecurityEngine for PssmEngine {
         plan.violation = ca.violation;
 
         if let Some(old_values) = &ca.overflow_old_values {
-            let old = old_values.clone();
-            let mut reads = Vec::new();
-            let mut writes = Vec::new();
-            self.reencrypt_group(addr, &old, ca.value, mem, &mut reads, &mut writes);
-            // Storm gate: within the burst budget the overflow's traffic
-            // bills inline; past it, the traffic defers to the offender's
-            // own later accesses (re-encryption itself already happened).
-            let admit = match &mut self.tenancy {
-                Some(tc) => {
-                    let t = tc.tenant_of(addr);
-                    tc.storm_admit(t)
-                }
-                None => true,
-            };
-            if admit {
-                plan.async_reads.extend(reads);
-                plan.writes.extend(writes);
-            } else if let Some(tc) = &mut self.tenancy {
-                let t = tc.tenant_of(addr);
-                tc.storm_defer(t, reads, writes);
-            }
+            self.overflows += 1;
+            self.plane.reencrypt_overflow(
+                self.counters.layout(),
+                addr,
+                old_values,
+                ca.value,
+                |_| false,
+                mem,
+                &mut plan.async_reads,
+                &mut plan.writes,
+            );
         }
 
-        // Encrypt and store the data.
-        let mut ct = *plaintext;
-        self.cipher_for(addr).encrypt(&mut ct, addr, ca.value);
-        mem.write(addr, ct);
-        if let Some(tc) = &mut self.tenancy {
-            tc.note_owned(addr);
-        }
-
+        self.plane.write_data(addr, plaintext, ca.value, mem);
         // Fresh MAC (write-allocate in the MAC cache).
-        let ma = self.macs.write(addr, plaintext, ca.value);
+        let ma = self.plane.macs_mut().write(addr, plaintext, ca.value);
         plan.writes.extend(ma.writes);
 
         plan.crypto_latency = self.cfg.latencies.aes_latency + self.cfg.latencies.mac_latency;
-        self.rotation_step(mem, &mut plan.async_reads, &mut plan.writes);
-        self.drain_storm(addr, &mut plan.async_reads, &mut plan.writes);
+        let counters = &self.counters;
+        self.plane.background(
+            addr,
+            |a| counters.peek_value(a),
+            mem,
+            &mut plan.async_reads,
+            &mut plan.writes,
+        );
         plan
     }
 
     fn extra_stats(&self) -> Vec<(String, u64)> {
         let (ch, cm, bf, bh) = self.counters.stats();
-        let (mh, mm) = self.macs.stats();
+        let (mh, mm) = self.plane.macs().stats();
         let mut stats = vec![
             ("fills".into(), self.fills),
             ("writebacks".into(), self.writebacks),
@@ -527,33 +247,28 @@ impl SecurityEngine for PssmEngine {
             ("mac_cache_misses".into(), mm),
             ("ctr_group_overflows".into(), self.overflows),
         ];
-        if let Some(tc) = &self.tenancy {
-            stats.extend(tc.extra_stats());
-        }
+        stats.extend(self.plane.tenancy_stats());
         stats
     }
 
     fn start_key_rotation(&mut self, tenant: u32) -> bool {
-        match &mut self.tenancy {
-            Some(tc) => tc.start_rotation(tenant),
-            None => false,
-        }
+        self.plane.start_key_rotation(tenant)
     }
 
     fn rotation_active(&self) -> bool {
-        self.tenancy.as_ref().is_some_and(|tc| tc.rotation_active())
+        self.plane.rotation_active()
     }
 
     fn attach_telemetry(&mut self, tel: &plutus_telemetry::Telemetry) {
         self.counters.attach_telemetry(tel);
-        self.macs.attach_telemetry(tel);
+        self.plane.macs_mut().attach_telemetry(tel);
     }
 
     fn inject_fault(&mut self, addr: SectorAddr, fault: MetaFault) -> bool {
         match fault {
             MetaFault::RollbackCounter { value } => self.counters.tamper_minor(addr, value),
             MetaFault::TamperMac => {
-                self.macs.tamper(addr);
+                self.plane.macs_mut().tamper(addr);
                 true
             }
             MetaFault::TamperBmtNode => {
@@ -589,47 +304,30 @@ impl SecurityEngine for PssmEngine {
         mem: &BackingMemory,
         sectors: &[SectorAddr],
     ) -> Result<RecoveryReport, RecoveryError> {
-        let mut report = RecoveryReport::default();
-        // Highest sector proven to already carry the mid-rotation new
-        // generation: the crash reverted the walk frontier, and the walk
-        // is address-ordered, so everything up to this point is done.
-        let mut max_new_gen: Option<u64> = None;
-        for &addr in sectors {
-            let mut note_gen = |new_gen: bool| {
-                if new_gen {
-                    max_new_gen = Some(max_new_gen.map_or(addr.raw(), |m| m.max(addr.raw())));
-                }
-            };
-            match self.probe_counter(addr, mem) {
-                Probe::Consistent { new_gen } => {
-                    note_gen(new_gen);
-                    report.already_consistent += 1;
-                }
-                Probe::Verified { value, new_gen } => {
-                    note_gen(new_gen);
-                    self.counters.restore_value(addr, value);
-                    report.recovered_by_mac += 1;
-                }
-                Probe::Failed => {
-                    report.failed.push(addr.raw());
-                    continue;
-                }
+        // Phoenix-style: the checkpoint-reverted value first, then upward
+        // from the recovery floor, each proven by the persistent MAC.
+        let counters = &mut self.counters;
+        Ok(self.plane.recover(sectors, |plane, addr| {
+            let floor = counters.recovery_floor(addr);
+            let settled = plane.settle(
+                addr,
+                mem,
+                counters.peek_value(addr),
+                floor..floor.saturating_add(RECOVERY_PROBE_BOUND),
+                |_| false,
+            )?;
+            if let Settled::Probed(value, _) = settled {
+                counters.restore_value(addr, value);
             }
-            // Re-note ownership: the revert may have rolled the registry
-            // back past sectors that verifiably hold our ciphertext, and
-            // a rotation walk must not skip them.
-            if let Some(tc) = &mut self.tenancy {
-                tc.note_owned(addr);
-            }
-        }
-        if let Some(tc) = &mut self.tenancy {
-            tc.reconcile_frontier(max_new_gen);
-        }
-        Ok(report)
+            Some(settled)
+        }))
     }
 
     fn peek_plaintext(&self, addr: SectorAddr, mem: &BackingMemory) -> Option<[u8; 32]> {
-        Some(self.read_plaintext(addr, self.counters.peek_value(addr), mem))
+        Some(
+            self.plane
+                .read_plaintext(addr, self.counters.peek_value(addr), mem),
+        )
     }
 }
 
@@ -851,6 +549,22 @@ mod tests {
         mask[3] = 1;
         mem.corrupt(sector(0), &mask);
         assert!(e.on_fill(sector(0), &mut mem).violation.is_some());
+    }
+
+    #[test]
+    fn monolithic_untouched_sector_fills_clean() {
+        // The first fill of a never-written leaf checks the counters
+        // against the zero-leaf hash, which must be built from the
+        // monolithic organization (32 B groups), not the split one.
+        let cfg = SecureMemConfig {
+            counter_org: crate::config::CounterOrg::Monolithic,
+            ..SecureMemConfig::test_small()
+        };
+        let mut e = PssmEngine::new(cfg);
+        let mut mem = BackingMemory::new();
+        let f = e.on_fill(sector(0), &mut mem);
+        assert_eq!(f.plaintext, [0; 32]);
+        assert_eq!(f.violation, None);
     }
 
     #[test]

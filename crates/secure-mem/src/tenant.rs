@@ -112,14 +112,14 @@ pub fn derive_mac_key(seed: u64, tenant: u32) -> [u8; 16] {
 }
 
 /// A live key-rotation walk over one tenant's slab.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RotationWalk {
+#[derive(Debug, Clone, Copy)]
+struct RotationWalk {
     /// The tenant being rotated.
-    pub tenant: u32,
+    tenant: u32,
     /// Next address to re-encrypt; everything below it is new-generation.
-    pub frontier: u64,
+    frontier: u64,
     /// Exclusive end of the tenant's slab.
-    pub end: u64,
+    end: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -205,11 +205,6 @@ impl TenantCrypto {
         )
     }
 
-    /// The tenancy configuration.
-    pub fn config(&self) -> &TenancyConfig {
-        &self.cfg
-    }
-
     /// The tenant owning `addr`.
     pub fn tenant_of(&self, addr: SectorAddr) -> u32 {
         self.cfg.map.tenant_of(addr)
@@ -283,11 +278,6 @@ impl TenantCrypto {
         self.walk.is_some()
     }
 
-    /// The live walk, if any.
-    pub fn walk(&self) -> Option<RotationWalk> {
-        self.walk
-    }
-
     /// `(frontier, end, sectors_per_step)` of the live walk.
     pub fn walk_window(&self) -> Option<(u64, u64, u32)> {
         self.walk
@@ -312,32 +302,12 @@ impl TenantCrypto {
             .collect()
     }
 
-    /// Functionally re-encrypts one sector from the old to the new
-    /// generation under its unchanged counter (the MAC needs no update:
-    /// MAC keys are generation-stable and the tag covers plaintext).
-    /// Returns whether memory changed.
-    pub fn rotate_sector(&mut self, addr: SectorAddr, ctr: u64, mem: &mut BackingMemory) -> bool {
-        let Some(w) = self.walk else {
-            return false;
-        };
-        let st = &self.ciphers[&w.tenant];
-        let Some(old) = &st.old else {
-            return false;
-        };
-        let Some(mut data) = mem.read(addr) else {
-            return false;
-        };
-        old.decrypt(&mut data, addr, ctr);
-        st.current.encrypt(&mut data, addr, ctr);
-        mem.write(addr, data);
-        self.rotated_sectors += 1;
-        true
-    }
-
-    /// Batch form of [`Self::rotate_sector`] for a whole walk step: one
-    /// batched decrypt under the old generation and one batched encrypt
-    /// under the new, instead of sector-at-a-time cipher calls. Returns
-    /// per-sector "memory changed" flags in input order.
+    /// Functionally re-encrypts a whole walk step from the old to the new
+    /// generation under each sector's unchanged counter (the MAC needs no
+    /// update: MAC keys are generation-stable and the tag covers
+    /// plaintext): one batched decrypt under the old generation and one
+    /// batched encrypt under the new. Returns per-sector "memory changed"
+    /// flags in input order.
     pub fn rotate_sectors(
         &mut self,
         items: &[(SectorAddr, u64)],
@@ -559,7 +529,7 @@ mod tests {
         let mut mem = BackingMemory::new();
         mem.write(addr, ct);
         assert!(tc.start_rotation(1));
-        assert!(tc.rotate_sector(addr, 9, &mut mem));
+        assert_eq!(tc.rotate_sectors(&[(addr, 9)], &mut mem), [true]);
         tc.advance_frontier(addr.raw() + 32);
         // Decrypt through the effective cipher (now new-gen): bit-identical.
         let mut got = mem.read(addr).unwrap();
