@@ -15,8 +15,11 @@ pub struct AblationRow {
     pub label: String,
     /// Geomean IPC normalized to no security.
     pub norm_ipc: f64,
-    /// Geomean metadata bytes relative to the first row.
+    /// Metadata bytes summed over the workloads.
     pub metadata_bytes: u64,
+    /// Integrity violations summed over the configuration's runs. Every
+    /// run is honest (no attack), so anything but 0 is a false positive.
+    pub violations: u64,
 }
 
 fn measure(
@@ -28,6 +31,7 @@ fn measure(
 ) -> AblationRow {
     let mut ratios = Vec::new();
     let mut meta = 0u64;
+    let mut violations = 0u64;
     for w in workloads {
         let base = run_one(w, Scheme::None, scale, cfg);
         let r = run_with_factory(w, factory, scale, cfg);
@@ -35,24 +39,45 @@ fn measure(
             ratios.push(r.ipc() / base.ipc());
         }
         meta += r.stats.metadata_bytes();
+        violations += r.stats.violations;
     }
     AblationRow {
         label: label.into(),
         norm_ipc: geomean(ratios),
         metadata_bytes: meta,
+        violations,
+    }
+}
+
+/// Fails if any honest ablation row raised an integrity violation: such a
+/// configuration mis-verifies its own writes, so its IPC and traffic are
+/// not a measurement of the design it names.
+pub fn violation_gate(rows: &[AblationRow]) -> Result<(), String> {
+    let bad: Vec<String> = rows
+        .iter()
+        .filter(|r| r.violations > 0)
+        .map(|r| format!("{}: {} violation(s)", r.label, r.violations))
+        .collect();
+    if bad.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "honest ablation runs raised integrity violations: {}",
+            bad.join("; ")
+        ))
     }
 }
 
 fn print_rows(title: &str, rows: &[AblationRow]) {
     println!("\n--- {title} ---");
     println!(
-        "{:<28}{:>12}{:>18}",
-        "config", "norm. IPC", "metadata bytes"
+        "{:<28}{:>12}{:>18}{:>12}",
+        "config", "norm. IPC", "metadata bytes", "violations"
     );
     for r in rows {
         println!(
-            "{:<28}{:>12.4}{:>18}",
-            r.label, r.norm_ipc, r.metadata_bytes
+            "{:<28}{:>12.4}{:>18}{:>12}",
+            r.label, r.norm_ipc, r.metadata_bytes, r.violations
         );
     }
 }
@@ -316,5 +341,21 @@ mod tests {
         let rows = pinned_fraction(&w, Scale::Test, &cfg);
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.norm_ipc > 0.0));
+        assert!(violation_gate(&rows).is_ok(), "honest runs verify clean");
+    }
+
+    #[test]
+    fn a_row_with_violations_trips_the_gate() {
+        let row = |label: &str, violations| AblationRow {
+            label: label.into(),
+            norm_ipc: 0.9,
+            metadata_bytes: 1,
+            violations,
+        };
+        assert!(violation_gate(&[row("clean", 0), row("also-clean", 0)]).is_ok());
+        let err = violation_gate(&[row("clean", 0), row("pssm-monolithic", 27_385)])
+            .expect_err("a nonzero row must fail the gate");
+        assert!(err.contains("pssm-monolithic: 27385"), "{err}");
+        assert!(!err.contains("clean"), "{err}");
     }
 }

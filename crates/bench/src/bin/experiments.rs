@@ -1139,7 +1139,10 @@ fn main() {
             "overheads" => overheads(),
             "workloads" => workload_report(&args),
             "ablations" => {
-                plutus_bench::ablations::run_all(&args.workloads, args.scale, &cfg);
+                let rows = plutus_bench::ablations::run_all(&args.workloads, args.scale, &cfg);
+                if let Err(e) = plutus_bench::ablations::violation_gate(&rows) {
+                    fail(&args.tel, e);
+                }
             }
             other => fail(&args.tel, format!("unknown experiment {other}")),
         }

@@ -14,9 +14,10 @@ use crate::address::{SectorAddr, SECTOR_SIZE};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A map keyed by a simulated address or sector index, hashed with
-/// [`AddrHasher`]. Every per-access functional table (memory contents,
-/// MAC tags, counters, leaf hashes) uses it.
+/// A map keyed by a simulated address, block, page or group index, hashed
+/// with [`AddrHasher`]. The functional metadata tables (counters, MAC tags
+/// by block, leaf hashes) and the page directory of [`BackingMemory`] use
+/// it.
 pub type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 
 /// A set of simulated addresses or indices, hashed with [`AddrHasher`].
@@ -56,10 +57,47 @@ impl Hasher for AddrHasher {
     }
 }
 
-/// Sparse functional memory, sector granularity.
+/// Sectors per page of [`BackingMemory`]: 4 KiB of sector data, small
+/// enough that a sparse write pattern wastes little, large enough that a
+/// dense image needs one directory entry per 128 sectors.
+const PAGE_SECTORS: usize = 128;
+
+/// One page of sectors: a presence bitmap and a dense slot array. A slot
+/// whose bit is clear was never written, whatever bytes it holds.
+#[derive(Debug, Clone)]
+struct Page {
+    present: [u64; PAGE_SECTORS / 64],
+    slots: [[u8; SECTOR_SIZE as usize]; PAGE_SECTORS],
+}
+
+impl Page {
+    fn empty() -> Box<Self> {
+        Box::new(Self {
+            present: [0; PAGE_SECTORS / 64],
+            slots: [[0; SECTOR_SIZE as usize]; PAGE_SECTORS],
+        })
+    }
+
+    fn has(&self, slot: usize) -> bool {
+        self.present[slot / 64] >> (slot % 64) & 1 == 1
+    }
+}
+
+/// Page-directory key and slot of `addr`.
+fn locate(addr: SectorAddr) -> (u64, usize) {
+    let index = addr.index();
+    (
+        index / PAGE_SECTORS as u64,
+        (index % PAGE_SECTORS as u64) as usize,
+    )
+}
+
+/// Sparse functional memory, sector granularity, stored in pages of
+/// [`PAGE_SECTORS`] sectors keyed by `sector index / PAGE_SECTORS`.
 #[derive(Debug, Default, Clone)]
 pub struct BackingMemory {
-    sectors: AddrMap<[u8; SECTOR_SIZE as usize]>,
+    pages: AddrMap<Box<Page>>,
+    resident: usize,
 }
 
 impl BackingMemory {
@@ -68,35 +106,66 @@ impl BackingMemory {
         Self::default()
     }
 
-    /// Creates an empty memory with room for `sectors` sectors, so
-    /// installing an image of that size never rehashes.
+    /// Creates an empty memory with directory room for `sectors` densely
+    /// placed sectors, so installing an image of that size never rehashes.
     pub fn with_capacity(sectors: usize) -> Self {
         Self {
-            sectors: AddrMap::with_capacity_and_hasher(sectors, Default::default()),
+            pages: AddrMap::with_capacity_and_hasher(
+                sectors.div_ceil(PAGE_SECTORS),
+                Default::default(),
+            ),
+            resident: 0,
         }
+    }
+
+    fn resident_mut(&mut self, addr: SectorAddr) -> Option<&mut [u8; 32]> {
+        let (page, slot) = locate(addr);
+        let page = self.pages.get_mut(&page)?;
+        page.has(slot).then(move || &mut page.slots[slot])
     }
 
     /// Reads a sector, or `None` if it was never written.
     pub fn read(&self, addr: SectorAddr) -> Option<[u8; 32]> {
-        self.sectors.get(&addr.raw()).copied()
+        let (page, slot) = locate(addr);
+        let page = self.pages.get(&page)?;
+        page.has(slot).then(|| page.slots[slot])
     }
 
     /// Writes a sector.
     pub fn write(&mut self, addr: SectorAddr, data: [u8; 32]) {
-        self.sectors.insert(addr.raw(), data);
+        let (page, slot) = locate(addr);
+        let page = self.pages.entry(page).or_insert_with(Page::empty);
+        let word = &mut page.present[slot / 64];
+        let bit = 1u64 << (slot % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.resident += 1;
+        }
+        page.slots[slot] = data;
     }
 
     /// Number of distinct sectors ever written.
     pub fn resident_sectors(&self) -> usize {
-        self.sectors.len()
+        self.resident
     }
 
     /// Addresses of every resident sector, sorted for deterministic
-    /// iteration (the map itself is unordered). Crash recovery walks this
-    /// to rebuild metadata for exactly the data that reached DRAM.
+    /// iteration: pages in key order, slots in address order. Crash recovery
+    /// walks this to rebuild metadata for exactly the data that reached
+    /// DRAM.
     pub fn resident_addrs(&self) -> Vec<SectorAddr> {
-        let mut addrs: Vec<SectorAddr> = self.sectors.keys().map(|&a| SectorAddr::new(a)).collect();
-        addrs.sort_by_key(|a| a.raw());
+        let mut keys: Vec<u64> = self.pages.keys().copied().collect();
+        keys.sort_unstable();
+        let mut addrs = Vec::with_capacity(self.resident);
+        for key in keys {
+            let page = &self.pages[&key];
+            let first = key * PAGE_SECTORS as u64;
+            addrs.extend(
+                (0..PAGE_SECTORS)
+                    .filter(|&slot| page.has(slot))
+                    .map(|slot| SectorAddr::new((first + slot as u64) * SECTOR_SIZE)),
+            );
+        }
         addrs
     }
 
@@ -105,7 +174,7 @@ impl BackingMemory {
     /// Returns `false` (and does nothing) if the sector is not resident —
     /// an attacker can only flip bits in bytes that exist.
     pub fn corrupt(&mut self, addr: SectorAddr, mask: &[u8; 32]) -> bool {
-        match self.sectors.get_mut(&addr.raw()) {
+        match self.resident_mut(addr) {
             Some(data) => {
                 for (b, m) in data.iter_mut().zip(mask.iter()) {
                     *b ^= m;
@@ -129,7 +198,7 @@ impl BackingMemory {
     /// bytes that exist but cannot materialize sectors the program never
     /// wrote.
     pub fn replay(&mut self, addr: SectorAddr, old: [u8; 32]) -> bool {
-        match self.sectors.get_mut(&addr.raw()) {
+        match self.resident_mut(addr) {
             Some(data) => {
                 *data = old;
                 true
@@ -191,6 +260,106 @@ mod tests {
         m.write(a, [2; 32]);
         assert!(m.replay(a, old));
         assert_eq!(m.read(a), Some([1; 32]));
+    }
+
+    /// Sector indices around page boundaries, inside one page, and far
+    /// apart (up to the last sector of the address space).
+    fn index_pool() -> Vec<u64> {
+        let mut pool: Vec<u64> = (0..6).collect();
+        for page in [1u64, 2, 3, 1 << 20, 1 << 40] {
+            let edge = page * PAGE_SECTORS as u64;
+            pool.extend(edge - 3..edge + 3);
+        }
+        pool.extend([1 << 33, (1 << 33) + 64, u64::MAX / SECTOR_SIZE]);
+        pool
+    }
+
+    fn assert_matches(m: &BackingMemory, model: &HashMap<u64, [u8; 32]>, pool: &[u64]) {
+        for &i in pool {
+            let a = SectorAddr::new(i * SECTOR_SIZE);
+            assert_eq!(m.read(a), model.get(&i).copied(), "sector index {i}");
+            assert_eq!(m.snapshot(a), model.get(&i).copied(), "sector index {i}");
+        }
+        assert_eq!(m.resident_sectors(), model.len());
+        let mut want: Vec<u64> = model.keys().copied().collect();
+        want.sort_unstable();
+        let got: Vec<u64> = m.resident_addrs().iter().map(|a| a.index()).collect();
+        assert_eq!(
+            got, want,
+            "resident_addrs must be every written sector, sorted"
+        );
+    }
+
+    /// Seeded random writes and attacks against a `HashMap` model of the
+    /// per-sector semantics; a clone taken midway must not see later
+    /// changes to the original, nor leak its own changes back.
+    #[test]
+    fn pages_match_a_hash_map_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let pool = index_pool();
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = if seed % 2 == 0 {
+                BackingMemory::new()
+            } else {
+                BackingMemory::with_capacity(64)
+            };
+            let mut model: HashMap<u64, [u8; 32]> = HashMap::new();
+            let mut frozen = None;
+            for step in 0..2000 {
+                let i = pool[rng.gen_range(0..pool.len())];
+                let a = SectorAddr::new(i * SECTOR_SIZE);
+                let mut bytes = [0u8; 32];
+                rng.fill(&mut bytes[..]);
+                match rng.gen_range(0u32..4) {
+                    0 => {
+                        m.write(a, bytes);
+                        model.insert(i, bytes);
+                    }
+                    1 => {
+                        let hit = model
+                            .get_mut(&i)
+                            .map(|d| d.iter_mut().zip(bytes.iter()).for_each(|(b, k)| *b ^= k));
+                        assert_eq!(m.corrupt(a, &bytes), hit.is_some());
+                    }
+                    2 => {
+                        let hit = model.get_mut(&i).map(|d| *d = bytes);
+                        assert_eq!(m.replay(a, bytes), hit.is_some());
+                    }
+                    _ => assert_eq!(m.read(a), model.get(&i).copied()),
+                }
+                if step == 1000 {
+                    frozen = Some((m.clone(), model.clone()));
+                }
+            }
+            assert_matches(&m, &model, &pool);
+            let (mut copy, copy_model) = frozen.unwrap();
+            assert_matches(&copy, &copy_model, &pool);
+            copy.write(SectorAddr::new(0x7777 * SECTOR_SIZE), [1; 32]);
+            assert_matches(&m, &model, &pool);
+        }
+    }
+
+    #[test]
+    fn unwritten_slot_of_a_resident_page_stays_absent() {
+        let mut m = BackingMemory::new();
+        let written = SectorAddr::new(2 * SECTOR_SIZE);
+        let neighbour = SectorAddr::new(3 * SECTOR_SIZE);
+        let last_of_page = SectorAddr::new((PAGE_SECTORS as u64 - 1) * SECTOR_SIZE);
+        m.write(written, [5; 32]);
+        for a in [neighbour, last_of_page] {
+            assert_eq!(m.read(a), None);
+            assert!(!m.corrupt(a, &[1; 32]));
+            assert!(!m.replay(a, [7; 32]));
+            assert_eq!(m.read(a), None);
+        }
+        assert_eq!(m.resident_sectors(), 1);
+        assert_eq!(m.resident_addrs(), vec![written]);
+        // Writing zeros still makes a sector resident.
+        m.write(neighbour, [0; 32]);
+        assert_eq!(m.read(neighbour), Some([0; 32]));
+        assert_eq!(m.resident_addrs(), vec![written, neighbour]);
     }
 
     #[test]

@@ -14,12 +14,16 @@
 //! cache (the paper's lazy-update scheme).
 
 use crate::config::{CounterOrg, SecureMemConfig};
-use crate::counter_store::CounterStore;
+use crate::counter_store::{CounterStore, MAX_GROUP_BYTES};
 use crate::layout::Layout;
 use gpu_sim::cache::SectoredCache;
 use gpu_sim::{AddrMap, DramReq, SectorAddr, TrafficClass, Violation, SECTOR_SIZE};
 use plutus_crypto::Cmac;
 use plutus_telemetry::{Event, Histogram, Telemetry};
+
+/// Counter groups one leaf covers at most: `ctr_fetch_bytes` is at most
+/// 128 B, one 32 B counter sector per group.
+const MAX_LEAF_GROUPS: usize = 4;
 
 /// Timing and verification products of a BMT operation.
 #[derive(Debug, Clone, Default)]
@@ -60,20 +64,15 @@ pub struct Bmt {
     disabled: bool,
     node_fetches: u64,
     node_hits: u64,
-    traffic_class: TrafficClass,
     tel: Telemetry,
     walk_depth: Histogram,
 }
 
 impl Bmt {
-    /// Builds the tree and its node cache from the configuration.
+    /// Builds the tree and its node cache from the configuration. Its node
+    /// traffic reports as [`TrafficClass::BmtNode`]; the compact-counter
+    /// tree is a separate structure in `plutus-core`.
     pub fn new(cfg: &SecureMemConfig, layout: Layout) -> Self {
-        Self::with_class(cfg, layout, TrafficClass::BmtNode)
-    }
-
-    /// Like [`Bmt::new`] but tagging node traffic with `class` (used by the
-    /// compact-counter tree, which reports as [`TrafficClass::CompactBmt`]).
-    pub fn with_class(cfg: &SecureMemConfig, layout: Layout, class: TrafficClass) -> Self {
         let cache = SectoredCache::new(
             cfg.meta_cache_bytes,
             cfg.meta_cache_ways,
@@ -89,7 +88,6 @@ impl Bmt {
             disabled: cfg.disable_tree,
             node_fetches: 0,
             node_hits: 0,
-            traffic_class: class,
             tel: Telemetry::disabled(),
             walk_depth: Histogram::disabled(),
         }
@@ -104,15 +102,20 @@ impl Bmt {
         self.tel = tel.clone();
     }
 
-    /// Recomputes the hash of `leaf` from live counter state.
+    /// Recomputes the hash of `leaf` from live counter state: the leaf
+    /// index (LE) followed by its serialized counter groups, built on a
+    /// stack buffer.
     pub fn recompute_leaf(&self, leaf: u64, store: &CounterStore) -> u64 {
         let (first, count) = self.layout.groups_of_leaf(leaf);
-        let mut buf = Vec::with_capacity(8 + 36 * count as usize);
-        buf.extend_from_slice(&leaf.to_le_bytes());
+        let mut buf = [0u8; 8 + MAX_LEAF_GROUPS * MAX_GROUP_BYTES];
+        buf[..8].copy_from_slice(&leaf.to_le_bytes());
+        let mut rest = &mut buf[8..];
         for g in first..first + count {
-            store.serialize_group_into(g, &mut buf);
+            store.serialize_group_into(g, &mut rest);
         }
-        u64::from_le_bytes(self.cmac.mac(&buf)[..8].try_into().unwrap())
+        let unused = rest.len();
+        let len = buf.len() - unused;
+        u64::from_le_bytes(self.cmac.mac(&buf[..len])[..8].try_into().unwrap())
     }
 
     fn zero_leaf_hash(&self, leaf: u64) -> u64 {
@@ -172,7 +175,7 @@ impl Bmt {
             }
             self.node_fetches += 1;
             walk.chain.push(
-                DramReq::new(addr, self.layout.node_bytes() as u32, self.traffic_class)
+                DramReq::new(addr, self.layout.node_bytes() as u32, TrafficClass::BmtNode)
                     .at_level(level),
             );
             self.fill_node(addr, false, &mut walk);
@@ -209,7 +212,7 @@ impl Bmt {
             // Read-modify-write fetch, off the critical path.
             self.node_fetches += 1;
             walk.async_reads.push(
-                DramReq::new(addr, self.layout.node_bytes() as u32, self.traffic_class)
+                DramReq::new(addr, self.layout.node_bytes() as u32, TrafficClass::BmtNode)
                     .at_level(level),
             );
         } else {
@@ -228,7 +231,7 @@ impl Bmt {
             for ev in outcome.evicted {
                 let node = self.layout.node_of_addr(ev.addr);
                 walk.writes.push(
-                    DramReq::new(ev.addr, SECTOR_SIZE as u32, self.traffic_class)
+                    DramReq::new(ev.addr, SECTOR_SIZE as u32, TrafficClass::BmtNode)
                         .at_level(node.map_or(0, |(l, _)| l)),
                 );
                 if let Some((ev_level, ev_idx)) = node {

@@ -17,6 +17,10 @@ pub const MINOR_MAX: u8 = (1 << MINOR_BITS) - 1;
 
 const BLOCK_SECTORS: u64 = SECTORS_PER_BLOCK as u64;
 
+/// Largest serialized counter group: a split group's 4-byte major and 32
+/// minor bytes (a monolithic group is four 8-byte counters).
+pub(crate) const MAX_GROUP_BYTES: usize = 4 + SECTORS_PER_COUNTER_GROUP as usize;
+
 /// Result of incrementing a sector's write counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IncrementOutcome {
@@ -151,22 +155,26 @@ impl CounterStore {
 
     /// Appends the counter sector of group `group` to `out` for BMT leaf
     /// hashing: major (LE) followed by the 32 minor bytes (split), or the
-    /// four 64-bit counters (monolithic).
-    pub fn serialize_group_into(&self, group: u64, out: &mut Vec<u8>) {
+    /// four 64-bit counters (monolithic): at most `MAX_GROUP_BYTES` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is a slice too short for the group.
+    pub fn serialize_group_into(&self, group: u64, out: &mut impl std::io::Write) {
+        let mut put = |bytes: &[u8]| out.write_all(bytes).expect("counter group fits `out`");
         let per = self.org.sectors_per_group();
         let base = group * per;
         match self.org {
             crate::config::CounterOrg::Monolithic => {
                 for i in base..base + per {
-                    out.extend_from_slice(&self.monolithic.get(&i).unwrap_or(&0).to_le_bytes());
+                    put(&self.monolithic.get(&i).unwrap_or(&0).to_le_bytes());
                 }
             }
             crate::config::CounterOrg::SplitSectored => {
-                let major = *self.majors.get(&group).unwrap_or(&0);
-                out.extend_from_slice(&major.to_le_bytes());
+                put(&self.majors.get(&group).unwrap_or(&0).to_le_bytes());
                 let first_block = base / BLOCK_SECTORS;
                 for b in first_block..first_block + per / BLOCK_SECTORS {
-                    out.extend_from_slice(&self.block_minors(b));
+                    put(&self.block_minors(b));
                 }
             }
         }

@@ -7,17 +7,38 @@
 //! all-zero sector under counter 0.
 
 use crate::tenant::derive_mac_key;
-use gpu_sim::{AddrMap, SectorAddr, TenantMap};
+use gpu_sim::{AddrMap, SectorAddr, TenantMap, SECTORS_PER_BLOCK};
 use plutus_crypto::{Cmac, Tweak};
 use std::collections::HashMap;
+
+/// The stored tags of one 128 B data block: one slot per sector and a
+/// presence mask (bit `i` set once sector `i` has a tag).
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockTags {
+    tags: [u64; SECTORS_PER_BLOCK],
+    present: u8,
+}
+
+impl BlockTags {
+    fn get(&self, i: usize) -> Option<u64> {
+        (self.present >> i & 1 == 1).then_some(self.tags[i])
+    }
+
+    fn set(&mut self, i: usize, tag: u64) {
+        self.tags[i] = tag;
+        self.present |= 1 << i;
+    }
+}
 
 /// Functional MAC table with configurable truncation.
 #[derive(Debug, Clone)]
 pub struct MacStore {
-    /// Stored tags by sector index. Only a lookup table: the key-rotation
-    /// walk's work list is `TenantCrypto`'s ownership registry, since
-    /// Plutus legitimately skips some MAC updates.
-    tags: AddrMap<u64>,
+    /// Stored tags per 128 B data block, the unit `partition_of`
+    /// interleaves memory by, so one engine's table never holds another
+    /// partition's sectors. Only a lookup table: the key-rotation walk's
+    /// work list is `TenantCrypto`'s ownership registry, since Plutus
+    /// legitimately skips some MAC updates.
+    tags: AddrMap<BlockTags>,
     cmac: Cmac,
     /// Per-tenant CMACs (multi-tenant operation). Keys are derived
     /// generation-free, so live key rotation never invalidates a tag.
@@ -147,16 +168,23 @@ impl MacStore {
     /// The stored tag for `addr`, or the never-written zero-sector
     /// expectation.
     fn expected_tag(&self, addr: SectorAddr) -> u64 {
-        match self.tags.get(&addr.index()) {
-            Some(t) => *t,
-            None => self.compute(&[0; 32], addr, 0),
-        }
+        self.tags
+            .get(&addr.block().index())
+            .and_then(|b| b.get(addr.sector_in_block()))
+            .unwrap_or_else(|| self.compute(&[0; 32], addr, 0))
+    }
+
+    fn store_tag(&mut self, addr: SectorAddr, tag: u64) {
+        self.tags
+            .entry(addr.block().index())
+            .or_default()
+            .set(addr.sector_in_block(), tag);
     }
 
     /// Stores the tag for a freshly written sector.
     pub fn update(&mut self, addr: SectorAddr, plaintext: &[u8; 32], counter: u64) {
         let tag = self.compute(plaintext, addr, counter);
-        self.tags.insert(addr.index(), tag);
+        self.store_tag(addr, tag);
     }
 
     /// Stores the tags of many freshly written sectors, computing them as
@@ -168,7 +196,7 @@ impl MacStore {
     pub fn update_many(&mut self, plaintexts: &[[u8; 32]], at: &[(SectorAddr, u64)]) {
         let tags = self.compute_many(plaintexts, at);
         for ((addr, _), tag) in at.iter().zip(tags) {
-            self.tags.insert(addr.index(), tag);
+            self.store_tag(*addr, tag);
         }
     }
 
@@ -182,11 +210,8 @@ impl MacStore {
     /// Attack hook: flips the low bit of the stored tag (tampering with the
     /// MAC block in DRAM).
     pub fn tamper(&mut self, addr: SectorAddr) {
-        let current = match self.tags.get(&addr.index()) {
-            Some(t) => *t,
-            None => self.compute(&[0; 32], addr, 0),
-        };
-        self.tags.insert(addr.index(), current ^ 1);
+        let current = self.expected_tag(addr);
+        self.store_tag(addr, current ^ 1);
     }
 }
 
@@ -238,6 +263,82 @@ mod tests {
         m.update(a, &[9; 32], 1);
         m.tamper(a);
         assert!(!m.verify(a, &[9; 32], 1));
+    }
+
+    #[test]
+    fn unwritten_neighbour_of_a_tagged_sector_verifies_as_zero() {
+        let mut m = store();
+        let block = SectorAddr::new(0x200).block();
+        m.update(block.sector(0), &[5; 32], 3);
+        m.update(block.sector(2), &[6; 32], 1);
+        for i in [1, 3] {
+            assert!(m.verify(block.sector(i), &[0; 32], 0), "sector {i}");
+            assert!(!m.verify(block.sector(i), &[5; 32], 3), "sector {i}");
+        }
+        assert!(m.verify(block.sector(0), &[5; 32], 3));
+        assert!(m.verify(block.sector(2), &[6; 32], 1));
+    }
+
+    #[test]
+    fn tamper_of_an_unwritten_sector_breaks_only_its_zero_expectation() {
+        let mut m = store();
+        let block = SectorAddr::new(0x400).block();
+        m.update(block.sector(1), &[4; 32], 2);
+        // One never-written sector beside a tagged one, one in an empty
+        // block.
+        for a in [block.sector(3), SectorAddr::new(0x4000)] {
+            m.tamper(a);
+            assert!(!m.verify(a, &[0; 32], 0));
+            m.update(a, &[8; 32], 1);
+            assert!(m.verify(a, &[8; 32], 1));
+        }
+        assert!(m.verify(block.sector(1), &[4; 32], 2));
+        assert!(m.verify(block.sector(0), &[0; 32], 0));
+        assert!(m.verify(block.sector(2), &[0; 32], 0));
+    }
+
+    /// Seeded updates and tampers against a per-sector `HashMap` model of
+    /// the tag table; a clone taken midway (as checkpoint and crash revert
+    /// take one) must stay independent of the original.
+    #[test]
+    fn block_keyed_tags_match_a_per_sector_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        fn expected(model: &HashMap<u64, u64>, m: &MacStore, a: SectorAddr) -> u64 {
+            model
+                .get(&a.index())
+                .copied()
+                .unwrap_or_else(|| m.compute(&[0; 32], a, 0))
+        }
+        let pool: Vec<SectorAddr> = (0..24u64)
+            .chain([1 << 30, (1 << 30) + 1, (1 << 40) + 3])
+            .map(|i| SectorAddr::new(i * 32))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x7a9);
+        let mut m = store();
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut frozen = None;
+        for step in 0..600 {
+            let a = pool[rng.gen_range(0..pool.len())];
+            if rng.gen_range(0u32..4) == 0 {
+                let tag = expected(&model, &m, a) ^ 1;
+                m.tamper(a);
+                model.insert(a.index(), tag);
+            } else {
+                let pt = [rng.gen::<u8>(); 32];
+                let ctr = rng.gen_range(0u64..50);
+                m.update(a, &pt, ctr);
+                model.insert(a.index(), m.compute(&pt, a, ctr));
+            }
+            if step == 300 {
+                frozen = Some((m.clone(), model.clone()));
+            }
+        }
+        let (copy, copy_model) = frozen.unwrap();
+        for a in pool {
+            assert_eq!(m.expected_tag(a), expected(&model, &m, a), "{a}");
+            assert_eq!(copy.expected_tag(a), expected(&copy_model, &copy, a), "{a}");
+        }
     }
 
     #[test]
